@@ -17,7 +17,6 @@ import random
 import sys
 import time
 from pathlib import Path
-from statistics import median
 
 from . import oracle as oracle_mod
 from .engine import DecayPolicy, Engine, EngineConfig, parse_engine_settings
@@ -28,6 +27,8 @@ from .stream import (
     Noiser,
     StreamFrame,
     TcpSink,
+    drive,
+    latency_summary,
     replay,
     serve as serve_stream,
 )
@@ -374,11 +375,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             sink = TcpSink(host, port)
         except ConnectionError as exc:
             return _fail(str(exc), EXIT_CONNECT)
-        sent = 0
         started = time.perf_counter()
-        for frame in frames:
-            sink.send(frame)
-            sent += 1
+        sent = drive(frames, sink, args.rate).events_processed
         server_metrics = sink.request_metrics()
         sink.close()
         wall = (time.perf_counter() - started) * 1e6
@@ -387,42 +385,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     engine = Engine(EngineConfig(trie=trie, decay=policy))
-    sink = EngineSink(engine)
-    started = time.perf_counter()
-    period = 1.0 / args.rate if args.rate else 0.0
-    idle = 0.0
-    next_due = started
-    count = 0
-    for frame in frames:
-        if period:
-            now = time.perf_counter()
-            if now < next_due:
-                time.sleep(next_due - now)
-                idle += (time.perf_counter() - now) * 1e6
-            next_due += period
-        sink.send(frame)
-        count += 1
-    wall = (time.perf_counter() - started) * 1e6
-
-    latencies = sink.latencies
-    completed_costs: list[int] = []
-    for case_id in engine.case_ids():
-        completed_costs.append(engine.conformance_cost(case_id))
-    stats = engine.buffer_stats()
+    metrics = drive(frames, EngineSink(engine), args.rate)
+    completed_costs = [engine.conformance_cost(case_id) for case_id in engine.case_ids()]
     report = {
-        "events_processed": count,
-        "cases": stats.cases,
+        **metrics.to_dict(),
+        "cases": len(completed_costs),
         "mean_case_cost": round(sum(completed_costs) / len(completed_costs), 4)
         if completed_costs
         else 0.0,
-        "computation_micros": round(sum(latencies), 1),
-        "idle_micros": round(max(idle, wall - sum(latencies)), 1),
-        "wall_micros": round(wall, 1),
-        "mean_event_micros": round(sum(latencies) / len(latencies), 3) if latencies else 0.0,
-        "p50_event_micros": round(median(latencies), 3) if latencies else 0.0,
-        "max_event_micros": round(max(latencies), 3) if latencies else 0.0,
-        "max_buffer_states": engine.peak_total_states,
-        "max_resident_cases": stats.cases,
         "noise": args.noise,
         "seed": args.seed,
     }
@@ -430,7 +400,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         report,
         args.json,
         [
-            f"processed {count} events over {stats.cases} cases "
+            f"processed {report['events_processed']} events over {report['cases']} cases "
             f"(noise {args.noise}, seed {args.seed})",
             f"  mean case cost:    {report['mean_case_cost']}",
             f"  mean event micros: {report['mean_event_micros']}",
@@ -470,14 +440,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
             if stats.peak_states > limit_factor * stats.max_decay_issued:
                 bound_violations += 1
 
-    pooled.sort()
-    n = len(pooled)
+    _, p50, p95, peak = latency_summary(pooled)
     report = {
         "runs": args.repeat,
-        "events_per_run": n // args.repeat if args.repeat else 0,
-        "p50_micros": round(pooled[n // 2], 3) if n else 0.0,
-        "p95_micros": round(pooled[min(n - 1, int(n * 0.95))], 3) if n else 0.0,
-        "max_micros": round(pooled[-1], 3) if n else 0.0,
+        "events_per_run": len(pooled) // args.repeat if args.repeat else 0,
+        "p50_micros": round(p50, 3),
+        "p95_micros": round(p95, 3),
+        "max_micros": round(peak, 3),
         "max_buffer_states": max_states,
         "buffer_bound_violations": bound_violations,
     }

@@ -5,8 +5,10 @@ Wire protocol: newline-delimited UTF-8 JSON, one frame per line, e.g.
 optional). Two control lines are understood by the server:
 ``{"cmd": "metrics"}`` answers with a metrics report on the same
 connection, ``{"cmd": "shutdown"}`` answers with the final report and
-stops the server. Malformed lines are counted, logged, and skipped; they
-never take the engine down.
+stops the server; both wait until every frame queued before them has
+been through the engine. Each line is decoded once, by :func:`parse_frame`.
+Malformed lines are counted, logged, and skipped; they never take the
+engine down.
 
 Replay can drive an in-process engine or a remote TCP endpoint, in
 round-robin or timestamp order, throttled or flat out. The latency
@@ -23,7 +25,6 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from statistics import median
 from typing import Iterable, Sequence
 
 from .engine import Engine
@@ -57,11 +58,14 @@ class StreamFrame:
         return json.dumps(doc, separators=(",", ":"))
 
 
-def parse_frame(line: str) -> StreamFrame:
-    """Parse one wire line into a frame.
+def parse_frame(line: str) -> StreamFrame | str:
+    """Parse one wire line into a frame, or a control line into its command.
+
+    A control line is any JSON object with a ``cmd`` key.
 
     Raises:
-        FrameError: for bad JSON, a non-object, or missing/empty fields.
+        FrameError: for bad JSON, a non-object, a non-string ``cmd``, or
+            missing/empty fields.
     """
     try:
         doc = json.loads(line)
@@ -69,6 +73,11 @@ def parse_frame(line: str) -> StreamFrame:
         raise FrameError(f"bad JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FrameError("frame must be a JSON object")
+    if "cmd" in doc:
+        cmd = doc["cmd"]
+        if not isinstance(cmd, str):
+            raise FrameError("'cmd' must be a string")
+        return cmd
     case_id = doc.get("case")
     activity = doc.get("activity")
     if not isinstance(case_id, str) or not case_id:
@@ -176,6 +185,21 @@ ROUND_ROBIN = "round-robin"
 BY_TIMESTAMP = "by-timestamp"
 
 
+def latency_summary(micros: Sequence[float]) -> tuple[float, float, float, float]:
+    """Mean, p50, p95 and max of per-event micros; all zero when empty.
+
+    Percentiles take the nearest rank on the sorted list: the p-th is the
+    value at 1-based rank ceil(p * n / 100).
+    """
+    n = len(micros)
+    if not n:
+        return 0.0, 0.0, 0.0, 0.0
+    ordered = sorted(micros)
+    p50 = ordered[-(-50 * n // 100) - 1]
+    p95 = ordered[-(-95 * n // 100) - 1]
+    return sum(ordered) / n, p50, p95, ordered[-1]
+
+
 @dataclass
 class RunMetrics:
     """Replay/serve measurements; computation excludes all waiting."""
@@ -239,21 +263,16 @@ def interleave_by_timestamp(traces: Iterable[Trace]) -> list[StreamFrame]:
 class EngineSink:
     """Feeds frames straight into an in-process engine, collecting latency."""
 
-    def __init__(self, engine: Engine, collect_latencies: bool = True) -> None:
+    def __init__(self, engine: Engine) -> None:
         self.engine = engine
-        self.latencies: list[float] = [] if collect_latencies else []
-        self._collect = collect_latencies
+        self.latencies: list[float] = []
         self.results_costs: list[int] = []
 
     def send(self, frame: StreamFrame) -> float:
         result = self.engine.process(frame.case_id, frame.activity, frame.timestamp)
         self.results_costs.append(result.best_cost)
-        if self._collect:
-            self.latencies.append(result.processing_micros)
+        self.latencies.append(result.processing_micros)
         return result.processing_micros
-
-    def close(self) -> None:
-        pass
 
 
 class TcpSink:
@@ -313,10 +332,7 @@ def replay(
 ) -> RunMetrics:
     """Deliver every event exactly once in the chosen global order.
 
-    ``rate`` throttles to events per second (sleep time counts as idle);
-    None streams flat out. When the sink is an :class:`EngineSink` the
-    per-event computation time and buffer peaks are filled in from the
-    engine; a TCP sink only yields client-side counters.
+    Interleaves the traces, then runs :func:`drive` over the frames.
     """
     if interleave == ROUND_ROBIN:
         frames = interleave_round_robin(traces)
@@ -324,8 +340,20 @@ def replay(
         frames = interleave_by_timestamp(traces)
     else:
         raise ValueError(f"unknown interleave mode {interleave!r}")
+    return drive(frames, sink, rate)
 
-    metrics = RunMetrics()
+
+def drive(frames: Iterable[StreamFrame], sink, rate: float | None = None) -> RunMetrics:
+    """Send every frame to ``sink`` in order and measure the run.
+
+    ``rate`` throttles to events per second (sleep time counts as idle);
+    None streams flat out. When the sink is an :class:`EngineSink` the
+    per-event computation time and buffer peaks are filled in from the
+    engine; a TCP sink only yields client-side counters.
+    """
+    count = 0
+    computation = 0.0
+    idle = 0.0
     period = 1.0 / rate if rate else 0.0
     start = time.perf_counter()
     next_due = start
@@ -334,23 +362,25 @@ def replay(
             now = time.perf_counter()
             if now < next_due:
                 time.sleep(next_due - now)
-                metrics.idle_micros += (time.perf_counter() - now) * 1e6
+                idle += (time.perf_counter() - now) * 1e6
             next_due += period
         micros = sink.send(frame)
         if micros is not None:
-            metrics.computation_micros += micros
-        metrics.events_processed += 1
-    metrics.wall_micros = (time.perf_counter() - start) * 1e6
+            computation += micros
+        count += 1
+    wall = (time.perf_counter() - start) * 1e6
 
+    metrics = RunMetrics(
+        events_processed=count, computation_micros=computation, idle_micros=idle, wall_micros=wall
+    )
     if isinstance(sink, EngineSink):
-        latencies = sink.latencies
-        if latencies:
-            metrics.mean_event_micros = sum(latencies) / len(latencies)
-            metrics.p50_event_micros = median(latencies)
-            metrics.max_event_micros = max(latencies)
+        mean, p50, _, peak = latency_summary(sink.latencies)
+        metrics.mean_event_micros = mean
+        metrics.p50_event_micros = p50
+        metrics.max_event_micros = peak
         metrics.max_buffer_states = sink.engine.peak_total_states
         metrics.max_resident_cases = len(sink.engine.case_ids())
-        metrics.idle_micros = max(metrics.idle_micros, metrics.wall_micros - metrics.computation_micros)
+        metrics.idle_micros = max(idle, wall - computation)
     return metrics
 
 
@@ -380,10 +410,12 @@ class StreamServer:
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
         self._server_sock: socket.socket | None = None
-        self._lock = threading.Lock()
+        # Guards the counters below; the consumer notifies it after each frame.
+        self._lock = threading.Condition()
         self.frames_processed = 0
         self.frames_malformed = 0
         self._enqueued = 0
+        self._consumed = 0  # processed plus engine-rejected frames
         self._computation_micros = 0.0
         self._latencies: list[float] = []
         self._started_at = 0.0
@@ -435,14 +467,15 @@ class StreamServer:
             malformed = self.frames_malformed
         wall = (time.perf_counter() - self._started_at) * 1e6 if self._started_at else 0.0
         stats = self.engine.buffer_stats()
+        mean, p50, _, peak = latency_summary(latencies)
         metrics = RunMetrics(
             events_processed=processed,
             computation_micros=computation,
             idle_micros=max(0.0, wall - computation),
             wall_micros=wall,
-            mean_event_micros=(sum(latencies) / len(latencies)) if latencies else 0.0,
-            p50_event_micros=median(latencies) if latencies else 0.0,
-            max_event_micros=max(latencies) if latencies else 0.0,
+            mean_event_micros=mean,
+            p50_event_micros=p50,
+            max_event_micros=peak,
             max_buffer_states=self.engine.peak_total_states,
             max_resident_cases=stats.cases,
             frames_malformed=malformed,
@@ -476,24 +509,22 @@ class StreamServer:
                 if not line:
                     continue
                 try:
-                    doc = json.loads(line)
-                except ValueError:
-                    doc = None
-                if isinstance(doc, dict) and "cmd" in doc:
-                    self._handle_command(doc.get("cmd"), file)
-                    if doc.get("cmd") == "shutdown":
-                        break
-                    continue
-                try:
                     frame = parse_frame(line)
                 except FrameError as exc:
                     with self._lock:
                         self.frames_malformed += 1
                     logger.warning("skipping malformed frame: %s", exc)
                     continue
+                if isinstance(frame, str):
+                    self._handle_command(frame, file)
+                    if frame == "shutdown":
+                        break
+                    continue
+                with self._lock:
+                    self._enqueued += 1
                 self._queue.put(frame)  # blocks when full: backpressure
 
-    def _handle_command(self, cmd, file) -> None:
+    def _handle_command(self, cmd: str, file) -> None:
         if cmd == "metrics":
             self._drain_barrier()
             file.write(json.dumps(self.metrics()) + "\n")
@@ -509,10 +540,11 @@ class StreamServer:
             logger.warning("unknown command %r", cmd)
 
     def _drain_barrier(self, timeout: float = 10.0) -> None:
-        # Metrics answer only after previously queued frames are consumed.
-        deadline = time.monotonic() + timeout
-        while not self._queue.empty() and time.monotonic() < deadline:
-            time.sleep(0.005)
+        # Answer only after every frame enqueued so far has left the engine;
+        # an empty queue is not enough, the consumer may still be processing one.
+        with self._lock:
+            target = self._enqueued
+            self._lock.wait_for(lambda: self._consumed >= target, timeout)
 
     def _consume_loop(self) -> None:
         while True:
@@ -526,13 +558,16 @@ class StreamServer:
                 result = self.engine.process(frame.case_id, frame.activity, frame.timestamp)
             except Exception:  # defensive: a bad frame must never kill the engine
                 logger.exception("engine rejected frame %r", frame)
-                with self._lock:
-                    self.frames_malformed += 1
-                continue
+                result = None
             with self._lock:
-                self.frames_processed += 1
-                self._computation_micros += result.processing_micros
-                self._latencies.append(result.processing_micros)
+                if result is None:
+                    self.frames_malformed += 1
+                else:
+                    self.frames_processed += 1
+                    self._computation_micros += result.processing_micros
+                    self._latencies.append(result.processing_micros)
+                self._consumed += 1
+                self._lock.notify_all()
 
 
 def serve(

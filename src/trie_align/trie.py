@@ -2,9 +2,9 @@
 
 The trie holds one node per distinct prefix of the proxy log, plus a root
 labeled with a sentinel. Each node carries an end marker (set where a full
-proxy trace terminates) and the minimum / maximum remaining path length to
-some end node. A node can be an end node and still have children when one
-proxy trace is a prefix of another.
+proxy trace terminates) and the minimum remaining path length to some end
+node. A node can be an end node and still have children when one proxy
+trace is a prefix of another.
 
 Nodes live in parallel arrays indexed by a dense node id; the root is id 0
 and every child id is greater than its parent's, so a reverse id sweep
@@ -46,7 +46,6 @@ class Trie:
         "children",
         "is_end",
         "min_to_end",
-        "max_to_end",
         "alphabet",
         "node_count",
         "end_count",
@@ -78,25 +77,19 @@ class Trie:
         self.avg_leaf_depth = sum(leaf_levels) / len(leaf_levels) if leaf_levels else 0.0
         self.max_branching = max(len(d) for d in children)
 
-        # Remaining-path annotations, children before parents (child id > parent id).
+        # Remaining-path annotation, children before parents (child id > parent id).
         n = self.node_count
         self.min_to_end = [0] * n
-        self.max_to_end = [0] * n
         for nid in range(n - 1, -1, -1):
             kids = children[nid]
             if kids:
                 self.min_to_end[nid] = (
                     0 if is_end[nid] else 1 + min(self.min_to_end[k] for k in kids.values())
                 )
-                self.max_to_end[nid] = 1 + max(self.max_to_end[k] for k in kids.values())
             elif not is_end[nid]:
                 raise TrieError(f"leaf node {nid} is not an end node")
 
     # -- queries ---------------------------------------------------------
-
-    def child(self, node_id: int, code: int) -> int | None:
-        """Child of ``node_id`` labeled ``code``, or None."""
-        return self.children[node_id].get(code)
 
     def path_match(self, start_id: int, seq: list[int] | tuple[int, ...]) -> int | None:
         """Terminal node of the downward path spelling ``seq`` from ``start_id``.
@@ -188,7 +181,6 @@ class Trie:
             [sorted(d.items()) for d in self.children],
             self.is_end,
             self.min_to_end,
-            self.max_to_end,
             self.alphabet.labels(),
             self.avg_leaf_depth,
             self.max_branching,

@@ -253,7 +253,7 @@ def test_c8_soak_noise_sweep():
 
         def run_once() -> tuple[list[int], list[int], int]:
             engine = Engine(EngineConfig(trie=trie))
-            sink = EngineSink(engine, collect_latencies=False)
+            sink = EngineSink(engine)
             high_water: list[int] = []
             for frame in simulate_stream(
                 trie, noise_level=noise, seed=29, max_events=events_per_level, duration=None

@@ -282,6 +282,21 @@ class TestSimulate:
                 "--json",
             ],
         )
+        assert {
+            "events_processed",
+            "cases",
+            "mean_case_cost",
+            "computation_micros",
+            "idle_micros",
+            "wall_micros",
+            "mean_event_micros",
+            "p50_event_micros",
+            "max_event_micros",
+            "max_buffer_states",
+            "max_resident_cases",
+            "noise",
+            "seed",
+        } <= report.keys()
         assert report["events_processed"] == 400
         assert report["mean_case_cost"] == 0.0
 
@@ -407,6 +422,34 @@ class TestServeAndSimulateConnect:
         assert final["events_processed"] >= 200
         server_thread.join(timeout=10.0)
         assert not server_thread.is_alive()
+
+    def test_connect_honours_rate(self, trie_file, capsys):
+        from trie_align import Engine, EngineConfig, StreamServer, load_trie
+
+        server = StreamServer(Engine(EngineConfig(trie=load_trie(trie_file.read_bytes()))))
+        server.start()
+        try:
+            host, port = server.address
+            report = run_json(
+                capsys,
+                [
+                    "simulate",
+                    "--trie",
+                    str(trie_file),
+                    "--connect",
+                    f"{host}:{port}",
+                    "--rate",
+                    "200",
+                    "--max-events",
+                    "5",
+                    "--json",
+                ],
+            )
+        finally:
+            server.stop()
+        assert report["sent"] == 5
+        assert report["wall_micros"] >= 4 * 5000  # four inter-event gaps at 5 ms
+        assert report["server"]["events_processed"] == 5
 
 
 class TestBench:

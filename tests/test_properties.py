@@ -36,21 +36,16 @@ observed_trace = st.lists(st.sampled_from(ALPHA + "xy"), min_size=0, max_size=10
 def test_trie_annotations_match_exhaustive_recomputation(proxy):
     trie = build_trie(proxy)
 
-    def walk_min_max(node):
-        """Recompute remaining distances by direct descent."""
+    def walk_min(node):
+        """Recompute the remaining distance by direct descent."""
         mins = [0] if trie.is_end[node] else []
-        maxes = [0] if trie.is_end[node] else []
         for kid in trie.children[node].values():
-            sub_min, sub_max = walk_min_max(kid)
-            mins.append(sub_min + 1)
-            maxes.append(sub_max + 1)
-        return min(mins), max(maxes)
+            mins.append(walk_min(kid) + 1)
+        return min(mins)
 
     for node in range(trie.node_count):
-        mn, mx = walk_min_max(node)
+        mn = walk_min(node)
         assert trie.min_to_end[node] == mn
-        assert trie.max_to_end[node] == mx
-        assert mn <= mx
         assert (trie.min_to_end[node] == 0) == bool(trie.is_end[node])
 
 

@@ -3,8 +3,12 @@ from __future__ import annotations
 import json
 import math
 import socket
+import time
+import types
 
 import pytest
+
+import trie_align.stream as stream_mod
 
 from trie_align import (
     DecayPolicy,
@@ -24,6 +28,7 @@ from trie_align.stream import (
     TcpSink,
     interleave_by_timestamp,
     interleave_round_robin,
+    latency_summary,
     replay,
 )
 
@@ -35,6 +40,21 @@ case,activity,timestamp
 2,b,2022-08-01 15:06
 1,c,2022-08-01 15:06
 """
+
+
+# Keys of the replay and server metrics reports; reports may add keys, never drop these.
+RUN_METRICS_KEYS = {
+    "events_processed",
+    "computation_micros",
+    "idle_micros",
+    "wall_micros",
+    "mean_event_micros",
+    "p50_event_micros",
+    "max_event_micros",
+    "max_buffer_states",
+    "max_resident_cases",
+    "frames_malformed",
+}
 
 
 def sample_traces():
@@ -49,6 +69,10 @@ class TestFrames:
     def test_timestamp_optional(self):
         assert parse_frame('{"case": "1", "activity": "a"}') == StreamFrame("1", "a")
 
+    def test_control_line_yields_command(self):
+        assert parse_frame('{"cmd":"metrics"}') == "metrics"
+        assert parse_frame('{"cmd": "shutdown", "case": "1", "activity": "a"}') == "shutdown"
+
     @pytest.mark.parametrize(
         "line",
         [
@@ -58,11 +82,29 @@ class TestFrames:
             '{"activity": "a"}',
             '{"case": "", "activity": "a"}',
             '{"case": "1", "activity": "a", "ts": 5}',
+            '{"cmd": 5}',
         ],
     )
     def test_malformed_lines_rejected(self, line):
         with pytest.raises(FrameError):
             parse_frame(line)
+
+
+class TestLatencySummary:
+    def test_empty(self):
+        assert latency_summary([]) == (0.0, 0.0, 0.0, 0.0)
+
+    def test_single_value(self):
+        assert latency_summary([7.5]) == (7.5, 7.5, 7.5, 7.5)
+
+    def test_even_length_takes_nearest_rank(self):
+        # n = 4: p50 is rank ceil(2.0) = 2, p95 is rank ceil(3.8) = 4.
+        assert latency_summary([4.0, 1.0, 3.0, 2.0]) == (2.5, 2.0, 4.0, 4.0)
+
+    def test_p95_rank_on_twenty_values(self):
+        # n = 20: p95 is rank 19 exactly, p50 rank 10.
+        _, p50, p95, peak = latency_summary([float(v) for v in range(20, 0, -1)])
+        assert (p50, p95, peak) == (10.0, 19.0, 20.0)
 
 
 class TestInterleaving:
@@ -115,8 +157,10 @@ class TestReplay:
         engine = Engine(EngineConfig(trie=workflow_trie, decay=DecayPolicy.fixed(2)))
         sink = EngineSink(engine)
         metrics = replay(sample_traces(), sink)
+        assert RUN_METRICS_KEYS <= metrics.to_dict().keys()
         assert metrics.events_processed == 5
         assert metrics.mean_event_micros > 0
+        assert metrics.p50_event_micros <= metrics.max_event_micros
         assert metrics.max_buffer_states >= metrics.max_resident_cases == 2
         assert metrics.computation_micros + metrics.idle_micros == pytest.approx(
             metrics.wall_micros, rel=0.25
@@ -205,8 +249,58 @@ class TestStreamServer:
         frames = [StreamFrame("c1", a).to_json_line() for a in "ab"]
         answer = send_lines(running_server.address, frames + ['{"cmd":"metrics"}'])
         metrics = json.loads(answer[0])
+        assert RUN_METRICS_KEYS <= metrics.keys()
         assert metrics["events_processed"] == 2
         assert running_server.engine.conformance_cost("c1") == 0
+
+    def test_each_line_is_decoded_once(self, running_server, monkeypatch):
+        decodes = []
+
+        def counting_loads(text, *args, **kwargs):
+            decodes.append(text)
+            return json.loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(
+            stream_mod, "json", types.SimpleNamespace(loads=counting_loads, dumps=json.dumps)
+        )
+        frames = [StreamFrame("c5", a).to_json_line() for a in "abce"]
+        answer = send_lines(running_server.address, frames + ['{"cmd":"metrics"}'])
+        monkeypatch.undo()
+        assert json.loads(answer[0])["events_processed"] == 4
+        assert len(decodes) == len(frames) + 1
+
+    def test_metrics_waits_for_frame_in_engine(self, workflow_trie):
+        # The consumer has taken the frame off the queue but not finished it.
+        class SlowEngine(Engine):
+            def process(self, case_id, activity, timestamp=None):
+                time.sleep(0.2)
+                return super().process(case_id, activity, timestamp)
+
+        server = StreamServer(SlowEngine(EngineConfig(trie=workflow_trie)), port=0)
+        server.start()
+        try:
+            lines = [StreamFrame("c1", "a").to_json_line(), '{"cmd":"metrics"}']
+            metrics = json.loads(send_lines(server.address, lines)[0])
+            assert metrics["events_processed"] == 1
+        finally:
+            server.stop()
+
+    def test_engine_rejected_frame_releases_metrics(self, workflow_trie):
+        class RejectingEngine(Engine):
+            def process(self, case_id, activity, timestamp=None):
+                if activity == "boom":
+                    raise RuntimeError("rejected")
+                return super().process(case_id, activity, timestamp)
+
+        server = StreamServer(RejectingEngine(EngineConfig(trie=workflow_trie)), port=0)
+        server.start()
+        try:
+            lines = [StreamFrame("c1", "boom").to_json_line(), '{"cmd":"metrics"}']
+            metrics = json.loads(send_lines(server.address, lines)[0])
+            assert metrics["events_processed"] == 0
+            assert metrics["frames_malformed"] == 1
+        finally:
+            server.stop()
 
     def test_malformed_frame_is_counted_and_skipped(self, running_server):
         lines = [

@@ -53,7 +53,6 @@ class TestBuildTrie:
         node = trie.walk([trie.alphabet.code("a")])
         assert trie.is_end[node]
         assert trie.min_to_end[node] == 0
-        assert trie.max_to_end[node] == 0
         assert trie.avg_leaf_depth == pytest.approx(1.0)
 
     def test_empty_proxy_rejected(self):
@@ -67,7 +66,6 @@ class TestBuildTrie:
         assert trie.is_end[ab]
         assert trie.children[ab]
         assert trie.min_to_end[ab] == 0
-        assert trie.max_to_end[ab] == 1
 
     def test_node_budget(self, workflow_trie, workflow_proxy):
         total_activities = sum(len(seq) for seq in workflow_proxy.traces)
@@ -77,17 +75,17 @@ class TestBuildTrie:
 class TestQueries:
     def test_root_child(self, workflow_trie):
         a = workflow_trie.alphabet.code("a")
-        node = workflow_trie.child(ROOT, a)
+        node = workflow_trie.children[ROOT].get(a)
         assert node is not None
         assert workflow_trie.labels[node] == a
 
     def test_missing_child(self, workflow_trie):
         table = workflow_trie.alphabet
         ab = workflow_trie.walk([table.code("a"), table.code("b")])
-        assert workflow_trie.child(ab, table.code("b")) is None
+        assert workflow_trie.children[ab].get(table.code("b")) is None
 
     def test_unknown_code_child(self, workflow_trie):
-        assert workflow_trie.child(ROOT, 9999) is None
+        assert workflow_trie.children[ROOT].get(9999) is None
 
     def test_path_match_single_node(self, workflow_trie):
         table = workflow_trie.alphabet
@@ -134,10 +132,6 @@ class TestQueries:
                 assert trie.min_to_end[node] == 0
             else:
                 assert trie.min_to_end[node] == 1 + min(trie.min_to_end[k] for k in kids)
-            candidates = [0] if trie.is_end[node] else []
-            candidates += [1 + trie.max_to_end[k] for k in kids]
-            assert trie.max_to_end[node] == max(candidates)
-            assert trie.min_to_end[node] <= trie.max_to_end[node]
 
     def test_every_leaf_is_end(self, workflow_trie):
         for node in range(workflow_trie.node_count):
