@@ -12,12 +12,13 @@ event suffix, the alignment cost, and a decay counter. Per arriving event:
    their suffix and the successors are added.
 3. Otherwise each survivor proposes candidates: one log-move state that
    flushes its whole pending suffix plus the event as log moves, and
-   model-move states found by a bounded breadth-first search below its
-   node (see :func:`expand_model_moves`). Candidates are admitted against
-   a running cost minimum; only those matching the final minimum are kept,
-   with at most one state per trie node and at most ``max_branching + 1``
-   admissions per event (ties are truncated deterministically, shortest
-   alignment first).
+   model-move states found by a bounded look-ahead below its node, which
+   probes only the nodes that carry the first pending event, through the
+   trie's preorder index (see :func:`expand_model_moves`). Candidates are
+   admitted against a running cost minimum; only those matching the final
+   minimum are kept, with at most one state per trie node and at most
+   ``max_branching + 1`` admissions per event (ties are truncated
+   deterministically, shortest alignment first).
 
 Three facts keep the buffer small: decay eviction bounds how many events
 a state survives, the cheapest-only admission keeps one cost frontier per
@@ -262,26 +263,27 @@ class _CaseEntry:
 def expand_model_moves(trie: Trie, state: State, code: int, decay: int) -> list[State]:
     """Model-move successors of ``state`` for event ``code``.
 
-    Searches breadth-first below the state's node for a start node from
-    which the whole pending sequence (suffix plus the new event) matches as
-    a downward path. The search may probe start nodes at most
-    ``len(pending) + 1`` levels down: any deeper match would need more
-    model moves than flushing everything as log moves costs, so it could
-    never be admitted. The shallowest matching depth wins and all matches
-    at that depth are returned.
+    Looks below the state's node for a start node from which the whole
+    pending sequence (suffix plus the new event) matches as a downward
+    path. Start nodes lie at most ``len(pending) + 1`` levels down: any
+    deeper match would need more model moves than flushing everything as
+    log moves costs, so it could never be admitted. Level by level, the
+    trie's preorder index (:meth:`Trie.starts_at`) yields only the nodes
+    that carry the first pending event, in breadth-first order, and each
+    is checked with :meth:`Trie.path_match`. The shallowest matching level
+    wins and all matches at that level are returned.
 
-    If the budget exhausts without a match and more than one event is
-    pending, the oldest pending event is dropped (it becomes a log move in
-    the emitted alignment) and the search restarts with the shortened
-    sequence; with a single pending event left, no model move exists and
-    the result is empty.
+    If no level matches and more than one event is pending, the oldest
+    pending event is dropped (it becomes a log move in the emitted
+    alignment) and the search restarts with the shortened sequence; with
+    a single pending event left, no model move exists and the result is
+    empty.
 
     Emitted alignments read: dropped log moves first, then one model move
     per node strictly between the state's node and the match start, then
     synchronous moves for the matched sequence. Cost grows by the number
     of dropped events plus the number of model moves.
     """
-    children = trie.children
     labels = trie.labels
     base_level = trie.levels[state.node]
 
@@ -291,22 +293,14 @@ def expand_model_moves(trie: Trie, state: State, code: int, decay: int) -> list[
 
     while True:
         first = pending[0]
-        frontier = [state.node]
         matches: list[tuple[int, int]] = []
-        for _depth in range(len(pending) + 1):
-            next_level: list[int] = []
-            for nid in frontier:
-                next_level.extend(children[nid].values())
-            if not next_level:
-                break
-            for nid in next_level:
-                if labels[nid] == first:
-                    terminal = trie.path_match(nid, pending)
-                    if terminal is not None:
-                        matches.append((nid, terminal))
+        for level in range(base_level + 1, base_level + len(pending) + 2):
+            for nid in trie.starts_at(state.node, first, level):
+                terminal = trie.path_match(nid, pending)
+                if terminal is not None:
+                    matches.append((nid, terminal))
             if matches:
                 break
-            frontier = next_level
 
         if matches:
             out = []

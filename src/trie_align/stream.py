@@ -409,6 +409,8 @@ class StreamServer:
         self._queue: queue.Queue = queue.Queue(maxsize=queue_size)
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
+        # Open connections and their reader threads; readers remove themselves.
+        self._connections: dict[socket.socket, threading.Thread] = {}
         self._server_sock: socket.socket | None = None
         # Guards the counters below; the consumer notifies it after each frame.
         self._lock = threading.Condition()
@@ -424,9 +426,13 @@ class StreamServer:
 
     def start(self) -> None:
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((self._host, self._port))
-        sock.listen(16)
+        try:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            sock.bind((self._host, self._port))
+            sock.listen(16)
+        except OSError:
+            sock.close()
+            raise
         sock.settimeout(0.2)
         self._server_sock = sock
         self._port = sock.getsockname()[1]
@@ -447,10 +453,19 @@ class StreamServer:
         return self._stop.wait(timeout)
 
     def stop(self) -> dict:
-        """Stop accepting, drain the queue, and return the final report."""
+        """Stop accepting, drain the queue, close connections; return the final report."""
         self._stop.set()
         for thread in self._threads:
             thread.join(timeout=5.0)
+        # The acceptor has exited, so no connection opens after this copy.
+        with self._lock:
+            connections = list(self._connections.items())
+        for conn, reader in connections:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)  # wakes a reader blocked in recv
+            except OSError:
+                pass  # its reader closed it first
+            reader.join(timeout=5.0)
         if self._server_sock is not None:
             self._server_sock.close()
             self._server_sock = None
@@ -496,33 +511,43 @@ class StreamServer:
             reader = threading.Thread(
                 target=self._connection_loop, args=(conn, peer), daemon=True
             )
+            with self._lock:
+                self._connections[conn] = reader
             reader.start()
 
     def _connection_loop(self, conn: socket.socket, peer) -> None:
         logger.debug("connection from %s", peer)
-        with conn:
-            file = conn.makefile("rw", encoding="utf-8", newline="\n")
-            for line in file:
-                if self._stop.is_set():
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    frame = parse_frame(line)
-                except FrameError as exc:
-                    with self._lock:
-                        self.frames_malformed += 1
-                    logger.warning("skipping malformed frame: %s", exc)
-                    continue
-                if isinstance(frame, str):
-                    self._handle_command(frame, file)
-                    if frame == "shutdown":
-                        break
-                    continue
+        try:
+            with conn, conn.makefile("rw", encoding="utf-8", newline="\n") as file:
+                self._read_frames(file)
+        except OSError as exc:  # the peer reset, or stop() shut the socket
+            logger.debug("connection from %s ended: %s", peer, exc)
+        finally:
+            with self._lock:
+                del self._connections[conn]
+
+    def _read_frames(self, file) -> None:
+        for line in file:
+            if self._stop.is_set():
+                break
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                frame = parse_frame(line)
+            except FrameError as exc:
                 with self._lock:
-                    self._enqueued += 1
-                self._queue.put(frame)  # blocks when full: backpressure
+                    self.frames_malformed += 1
+                logger.warning("skipping malformed frame: %s", exc)
+                continue
+            if isinstance(frame, str):
+                self._handle_command(frame, file)
+                if frame == "shutdown":
+                    break
+                continue
+            with self._lock:
+                self._enqueued += 1
+            self._queue.put(frame)  # blocks when full: backpressure
 
     def _handle_command(self, cmd: str, file) -> None:
         if cmd == "metrics":

@@ -12,6 +12,16 @@ visits children before parents. Children maps are rebuilt with keys in
 ascending activity-code order after construction, which makes every
 iteration-order-dependent tie-break deterministic.
 
+Construction also builds a search index over a preorder numbering that
+visits children in ascending code order: ``pre[n]`` is a node's position,
+``by_pre`` maps a position back to its node id, and the subtree of ``n``
+is the position interval ``[pre[n], pre[n] + size[n])``. ``buckets``
+maps an activity code to one sorted array of positions per trie level,
+so the nodes that carry a code at one level below a given node are a
+bisected slice of one bucket (:meth:`Trie.starts_at`). Within one level,
+preorder order is breadth-first order. The index is derived data: it is
+not serialized and :func:`load_trie` rebuilds it.
+
 The structure is immutable after :func:`build_trie` and safe to share
 across threads for read-only queries.
 """
@@ -19,6 +29,8 @@ across threads for read-only queries.
 from __future__ import annotations
 
 import json
+from array import array
+from bisect import bisect_left
 
 from .events import ActivityTable, ProxyLog
 
@@ -51,6 +63,10 @@ class Trie:
         "end_count",
         "avg_leaf_depth",
         "max_branching",
+        "pre",
+        "by_pre",
+        "size",
+        "buckets",
         "_end_ids",
     )
 
@@ -77,17 +93,52 @@ class Trie:
         self.avg_leaf_depth = sum(leaf_levels) / len(leaf_levels) if leaf_levels else 0.0
         self.max_branching = max(len(d) for d in children)
 
-        # Remaining-path annotation, children before parents (child id > parent id).
+        # Remaining-path annotation and subtree sizes, children before
+        # parents (child id > parent id).
         n = self.node_count
-        self.min_to_end = [0] * n
+        min_to_end = [0] * n
+        size = array("i", [1]) * n
         for nid in range(n - 1, -1, -1):
             kids = children[nid]
-            if kids:
-                self.min_to_end[nid] = (
-                    0 if is_end[nid] else 1 + min(self.min_to_end[k] for k in kids.values())
-                )
+            if len(kids) == 1:
+                (kid,) = kids.values()
+                size[nid] += size[kid]
+                if not is_end[nid]:
+                    min_to_end[nid] = min_to_end[kid] + 1
+            elif kids:
+                size[nid] += sum(map(size.__getitem__, kids.values()))
+                if not is_end[nid]:
+                    min_to_end[nid] = 1 + min(map(min_to_end.__getitem__, kids.values()))
             elif not is_end[nid]:
                 raise TrieError(f"leaf node {nid} is not an end node")
+        self.min_to_end = min_to_end
+        self.size = size
+
+        # Preorder positions, parents before children: each child starts
+        # right after its elder siblings' subtrees.
+        pre = array("i", [0]) * n
+        by_pre = array("i", [0]) * n
+        for nid in range(n):
+            pos = pre[nid]
+            by_pre[pos] = nid
+            pos += 1
+            for kid in children[nid].values():
+                pre[kid] = pos
+                pos += size[kid]
+        self.pre = pre
+        self.by_pre = by_pre
+
+        # Per-code, per-level position buckets, filled in preorder so each
+        # is ascending. The root carries no activity and is left out.
+        height = max(levels) + 1
+        buckets: dict[int, list[array]] = {}
+        for pos in range(1, n):
+            nid = by_pre[pos]
+            rows = buckets.get(labels[nid])
+            if rows is None:
+                rows = buckets[labels[nid]] = [array("i") for _ in range(height)]
+            rows[levels[nid]].append(pos)
+        self.buckets = buckets
 
     # -- queries ---------------------------------------------------------
 
@@ -110,6 +161,23 @@ class Trie:
                 return None
             node = nxt
         return node
+
+    def starts_at(self, node_id: int, code: int, level: int) -> list[int]:
+        """Strict descendants of ``node_id`` at ``level`` that carry ``code``.
+
+        Node ids in preorder, which within one level is breadth-first
+        order. Empty for a code no node carries, including codes interned
+        after the trie was built.
+        """
+        rows = self.buckets.get(code)
+        if rows is None or level >= len(rows):
+            return []
+        bucket = rows[level]
+        start = self.pre[node_id]
+        lo = bisect_left(bucket, start + 1)
+        hi = bisect_left(bucket, start + self.size[node_id], lo)
+        by_pre = self.by_pre
+        return [by_pre[pos] for pos in bucket[lo:hi]]
 
     def min_completion_path(self, node_id: int) -> list[int]:
         """A shortest label path from ``node_id`` down to some end node.
@@ -234,7 +302,7 @@ def build_trie(proxy: ProxyLog, alphabet: ActivityTable | None = None) -> Trie:
             node = nxt
         is_end[node] = True
 
-    children = [dict(sorted(d.items())) for d in children]
+    children = [dict(sorted(d.items())) if len(d) > 1 else d for d in children]
     return Trie(labels, parents, levels, children, is_end, table)
 
 
@@ -306,7 +374,7 @@ def load_trie(payload: bytes) -> Trie:
             raise TrieFormatError(f"corrupt trie payload: duplicate child at node {parent}")
         children[parent][label] = nid
 
-    children = [dict(sorted(d.items())) for d in children]
+    children = [dict(sorted(d.items())) if len(d) > 1 else d for d in children]
     try:
         trie = Trie(labels, parents, levels, children, is_end, alphabet)
     except TrieError as exc:

@@ -10,9 +10,11 @@ from trie_align import (
     Engine,
     EngineConfig,
     ProxyLog,
+    State,
     alignment_cost,
     build_trie,
     complete_alignment,
+    expand_model_moves,
     load_trie,
     optimal_prefix,
     parse_event_log,
@@ -74,6 +76,78 @@ def test_trie_structure_invariants(proxy):
 def test_trie_serialization_round_trip(proxy):
     trie = build_trie(proxy)
     assert load_trie(serialize_trie(trie)) == trie
+
+
+def reference_expand(trie, state, code, decay):
+    """The model-move search as a breadth-first walk over every node below
+    the state, level by level, restarted after each suffix drop. Reference
+    for the indexed search in ``expand_model_moves``.
+    """
+    children = trie.children
+    labels = trie.labels
+    pending = list(state.suffix) + [code]
+    dropped: list[int] = []
+    while True:
+        frontier = [state.node]
+        matches = []
+        for _depth in range(len(pending) + 1):
+            next_level = [k for nid in frontier for k in children[nid].values()]
+            if not next_level:
+                break
+            for nid in next_level:
+                if labels[nid] == pending[0]:
+                    terminal = trie.path_match(nid, pending)
+                    if terminal is not None:
+                        matches.append((nid, terminal))
+            if matches:
+                break
+            frontier = next_level
+        if matches:
+            out = []
+            for start, terminal in matches:
+                between = trie.node_path_codes(trie.parents[start])[trie.levels[state.node] :]
+                moves = (
+                    list(state.moves())
+                    + [(x, None) for x in dropped]
+                    + [(None, m) for m in between]
+                    + [(y, y) for y in pending]
+                )
+                out.append(
+                    State.make(
+                        terminal, moves, cost=state.cost + len(dropped) + len(between), decay=decay
+                    )
+                )
+            return out
+        if len(pending) > 1:
+            dropped.append(pending.pop(0))
+            continue
+        return []
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_indexed_search_matches_the_level_walk(rng):
+    # Traces open with a or b, so later activities recur at one depth in
+    # several branches and matches tie on depth. Prefixes of traces make
+    # end nodes that have children.
+    traces = [
+        (rng.choice("ab"), *rng.choices(ALPHA, k=rng.randrange(8)))
+        for _ in range(rng.randrange(1, 25))
+    ]
+    traces += [t[: rng.randrange(1, len(t) + 1)] for t in traces[: rng.randrange(len(traces))]]
+    trie = build_trie(ProxyLog(tuple(traces)))
+    node = rng.choice([0, rng.randrange(trie.node_count)])  # the root, with most ties, half the time
+    # Code len(alphabet) lies past the alphabet and never occurs in the trie.
+    suffix = [rng.randrange(len(trie.alphabet) + 1) for _ in range(rng.randrange(3))]
+    code = rng.randrange(len(trie.alphabet) + 1)
+    history = [(None, c) for c in trie.node_path_codes(node)]
+    state = State.make(node, history, suffix=suffix, cost=len(history), decay=2)
+
+    got = expand_model_moves(trie, state, code, decay=3)
+    expected = reference_expand(trie, state, code, decay=3)
+    assert [(s.node, s.cost, s.moves_len, s.moves(), s.suffix, s.decay) for s in got] == [
+        (s.node, s.cost, s.moves_len, s.moves(), s.suffix, s.decay) for s in expected
+    ]
 
 
 @given(proxy_logs, observed_trace, st.sampled_from(["fixed2", "fixed4", "discounted"]))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import socket
+import threading
 import time
 import types
 
@@ -322,6 +323,30 @@ class TestStreamServer:
             final = json.loads(send_lines(server.address, lines)[0])
             assert final["events_processed"] == 1
             assert server.wait(timeout=5.0)
+        finally:
+            server.stop()
+
+    def test_stop_closes_connections_and_joins_readers(self, workflow_trie):
+        server = StreamServer(Engine(EngineConfig(trie=workflow_trie)), port=0)
+        before = set(threading.enumerate())
+        server.start()
+        try:
+            with socket.create_connection(server.address, timeout=5.0) as client:
+                # A metrics answer proves the reader is up; the client stays connected.
+                client.sendall(b'{"cmd":"metrics"}\n')
+                reply = b""
+                while not reply.endswith(b"\n"):
+                    chunk = client.recv(4096)
+                    assert chunk, "server closed before answering"
+                    reply += chunk
+                server.stop()
+                readers = [
+                    t
+                    for t in threading.enumerate()
+                    if t not in before and "_connection_loop" in t.name
+                ]
+                assert readers == []
+                assert client.recv(4096) == b""  # EOF, not a hang
         finally:
             server.stop()
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -16,6 +17,15 @@ from trie_align import (
 from trie_align.trie import ROOT
 
 from .conftest import WORKFLOW_TRACES
+
+# serialize_trie output for the workflow trie, fixed before the search
+# index existed: the index must never reach the file format.
+WORKFLOW_PAYLOAD = (
+    b'{"version":1,"node_count":23,"end_count":8,"avg_leaf_depth":5.0,"max_branching":3,'
+    b'"alphabet":["a","b","c","d","e"],"nodes":[[0,0,0],[1,1,0],[2,2,0],[3,3,0],[4,1,0],'
+    b"[5,4,1],[3,4,1],[2,3,0],[8,1,0],[9,4,1],[9,2,0],[11,4,1],[8,2,0],[13,1,0],[14,4,1],"
+    b"[2,4,1],[1,2,0],[17,1,0],[18,3,0],[19,1,0],[20,4,1],[18,4,1]]}"
+)
 
 
 def distinct_prefixes(traces) -> set[tuple[str, ...]]:
@@ -174,3 +184,82 @@ class TestSerialization:
         doc["node_count"] += 1
         with pytest.raises(TrieFormatError):
             load_trie(json.dumps(doc).encode())
+
+
+def random_trie():
+    """Seeded trie whose traces include prefixes of others (ends with children)."""
+    rng = random.Random(5)
+    traces = [tuple(rng.choice("abcdef") for _ in range(rng.randrange(1, 9))) for _ in range(60)]
+    traces += [t[: rng.randrange(1, len(t) + 1)] for t in traces[:20]]
+    return build_trie(ProxyLog(tuple(traces)))
+
+
+def descendants(trie, node) -> set[int]:
+    """The node and everything below it, by walking children maps."""
+    out = {node}
+    for kid in trie.children[node].values():
+        out |= descendants(trie, kid)
+    return out
+
+
+def index_of(trie) -> tuple:
+    return (
+        list(trie.pre),
+        list(trie.by_pre),
+        list(trie.size),
+        {code: [list(b) for b in rows] for code, rows in trie.buckets.items()},
+    )
+
+
+class TestSearchIndex:
+    @pytest.fixture(params=["workflow", "forked", "random"])
+    def trie(self, request):
+        if request.param == "random":
+            return random_trie()
+        return request.getfixturevalue(f"{request.param}_trie")
+
+    def test_by_pre_inverts_pre(self, trie):
+        assert sorted(trie.pre) == list(range(trie.node_count))
+        for node in range(trie.node_count):
+            assert trie.by_pre[trie.pre[node]] == node
+
+    def test_subtree_interval_holds_exactly_the_descendants(self, trie):
+        for node in range(trie.node_count):
+            start = trie.pre[node]
+            interval = trie.by_pre[start : start + trie.size[node]]
+            assert set(interval) == descendants(trie, node)
+            assert len(interval) == trie.size[node]
+
+    def test_buckets_are_ascending_and_partition_the_non_root_nodes(self, trie):
+        seen = []
+        for code, rows in trie.buckets.items():
+            for level, bucket in enumerate(rows):
+                assert all(a < b for a, b in zip(bucket, bucket[1:]))
+                for pos in bucket:
+                    node = trie.by_pre[pos]
+                    assert (trie.labels[node], trie.levels[node]) == (code, level)
+                    seen.append(node)
+        assert sorted(seen) == list(range(1, trie.node_count))
+
+    def test_starts_at_is_breadth_first_order(self, trie):
+        for node in range(trie.node_count):
+            frontier = [node]
+            for level in range(trie.levels[node] + 1, trie.levels[node] + 4):
+                frontier = [k for n in frontier for k in trie.children[n].values()]
+                for code in range(len(trie.alphabet)):
+                    expected = [k for k in frontier if trie.labels[k] == code]
+                    assert trie.starts_at(node, code, level) == expected
+
+    def test_starts_at_unknown_code_or_level(self, trie):
+        assert trie.starts_at(ROOT, len(trie.alphabet) + 3, 1) == []
+        assert trie.starts_at(ROOT, 0, max(trie.levels) + 5) == []
+
+    def test_load_rebuilds_the_same_index(self, trie):
+        assert index_of(load_trie(serialize_trie(trie))) == index_of(trie)
+
+    def test_serialization_unchanged_by_the_index(self, workflow_proxy):
+        # A fresh trie: the shared fixture's alphabet grows as other tests
+        # intern stream-only labels.
+        trie = build_trie(workflow_proxy)
+        assert serialize_trie(trie) == WORKFLOW_PAYLOAD
+        assert index_of(load_trie(WORKFLOW_PAYLOAD)) == index_of(trie)
