@@ -16,13 +16,15 @@ event suffix, the alignment cost, and a decay counter. Per arriving event:
    probes only the nodes that carry the first pending event, through the
    trie's preorder index (see :func:`expand_model_moves`). Candidates are
    admitted against a running cost minimum; only those matching the final
-   minimum are kept, with at most one state per trie node and at most
-   ``max_branching + 1`` admissions per event (ties are truncated
-   deterministically, shortest alignment first).
+   minimum are kept, with at most one state per trie node.
+
+Either step admits at most ``max_branching + 1`` new states per event,
+fewer when the case is near its bound; the cap truncates
+deterministically, cheapest first, then shortest alignment.
 
 Three facts keep the buffer small: decay eviction bounds how many events
 a state survives, the cheapest-only admission keeps one cost frontier per
-case, and the admission cap stops equal-cost lineages from multiplying on
+case, and the admission cap stops lineages from multiplying on
 heavily deviating streams. Together they bound a case's stored states by
 ``(max_branching + 1)`` times the largest decay it was ever issued.
 
@@ -478,14 +480,15 @@ class Engine:
                     per_node[cand.node] = cand
             new_states = [per_node[node] for node in order]
 
-            # Admission cap: equal-cost ties must not multiply lineages
-            # past the branching budget, or past what keeps the case under
-            # (max_branching + 1) x its largest issued decay overall.
-            cap = self._cap
-            limit = min(cap, cap * entry.max_decay_issued - len(survivors))
-            if len(new_states) > limit:
-                new_states.sort(key=lambda s: s.moves_len)  # stable: keeps generation order
-                del new_states[limit:]
+        # Admission cap, on both steps: ties must not multiply lineages
+        # past the branching budget, or past what keeps the case under
+        # (max_branching + 1) x its largest issued decay overall. The
+        # cheapest successors survive, so the best cost is unchanged.
+        cap = self._cap
+        limit = min(cap, cap * entry.max_decay_issued - len(survivors))
+        if len(new_states) > limit:
+            new_states.sort(key=lambda s: (s.cost, s.moves_len))  # stable: keeps generation order
+            del new_states[limit:]
 
         for s in survivors:
             s.suffix.append(code)

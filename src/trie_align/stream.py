@@ -5,10 +5,11 @@ Wire protocol: newline-delimited UTF-8 JSON, one frame per line, e.g.
 optional). Two control lines are understood by the server:
 ``{"cmd": "metrics"}`` answers with a metrics report on the same
 connection, ``{"cmd": "shutdown"}`` answers with the final report and
-stops the server; both wait until every frame queued before them has
-been through the engine. Each line is decoded once, by :func:`parse_frame`.
-Malformed lines are counted, logged, and skipped; they never take the
-engine down.
+stops the server. A command rides the same FIFO queue as the frames, so
+its answer counts every frame queued before it, and the one consumer
+thread that owns the engine computes it. Each line is decoded once, by
+:func:`parse_frame`. Malformed lines (non-UTF-8 bytes included) are
+counted, logged, and skipped; they never take the engine down.
 
 Replay can drive an in-process engine or a remote TCP endpoint, in
 round-robin or timestamp order, throttled or flat out. The latency
@@ -390,10 +391,15 @@ def drive(frames: Iterable[StreamFrame], sink, rate: float | None = None) -> Run
 class StreamServer:
     """TCP ingestion front end for one engine.
 
-    Connection readers parse frames and push them onto a bounded handoff
-    queue (full queue blocks the reader: backpressure, no drops); a single
-    consumer thread owns the engine. Start with :meth:`start`, stop with
-    :meth:`stop` or a ``shutdown`` control frame.
+    Connection readers decode lines and put frames and control commands
+    on one bounded FIFO queue (a full queue blocks the reader:
+    backpressure, no drops). A single consumer thread takes the items in
+    order and is the only code that touches the engine or the event
+    counters while the server runs. It answers a command once every item
+    queued before it has been processed, and the reader writes the answer
+    back. Start with :meth:`start`, stop with :meth:`stop` or a
+    ``shutdown`` control frame; call :meth:`metrics` directly only once
+    stopped, and send a ``metrics`` frame while running.
     """
 
     def __init__(
@@ -406,18 +412,17 @@ class StreamServer:
         self.engine = engine
         self._host = host
         self._port = port
+        # Frames, a command's reply slot, and the None that ends the consumer.
         self._queue: queue.Queue = queue.Queue(maxsize=queue_size)
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
         # Open connections and their reader threads; readers remove themselves.
         self._connections: dict[socket.socket, threading.Thread] = {}
         self._server_sock: socket.socket | None = None
-        # Guards the counters below; the consumer notifies it after each frame.
-        self._lock = threading.Condition()
+        # Guards _connections and frames_malformed, which readers update too.
+        self._lock = threading.Lock()
         self.frames_processed = 0
         self.frames_malformed = 0
-        self._enqueued = 0
-        self._consumed = 0  # processed plus engine-rejected frames
         self._computation_micros = 0.0
         self._latencies: list[float] = []
         self._started_at = 0.0
@@ -453,19 +458,27 @@ class StreamServer:
         return self._stop.wait(timeout)
 
     def stop(self) -> dict:
-        """Stop accepting, drain the queue, close connections; return the final report."""
+        """Stop accepting, close connections, drain the queue; return the final report.
+
+        Every item queued before the readers are gone is processed, and the
+        report is computed once no server thread is left. Idempotent.
+        """
         self._stop.set()
-        for thread in self._threads:
-            thread.join(timeout=5.0)
-        # The acceptor has exited, so no connection opens after this copy.
-        with self._lock:
-            connections = list(self._connections.items())
-        for conn, reader in connections:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)  # wakes a reader blocked in recv
-            except OSError:
-                pass  # its reader closed it first
-            reader.join(timeout=5.0)
+        if self._threads:
+            acceptor, consumer = self._threads
+            self._threads = []
+            acceptor.join()
+            # The acceptor has exited, so no connection opens after this copy.
+            with self._lock:
+                connections = list(self._connections.items())
+            for conn, reader in connections:
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)  # wakes a reader blocked in recv
+                except OSError:
+                    pass  # its reader closed it first
+                reader.join()
+            self._queue.put(None)
+            consumer.join()
         if self._server_sock is not None:
             self._server_sock.close()
             self._server_sock = None
@@ -475,25 +488,19 @@ class StreamServer:
 
     def metrics(self) -> dict:
         """Current ingestion metrics plus engine buffer occupancy."""
-        with self._lock:
-            latencies = list(self._latencies)
-            computation = self._computation_micros
-            processed = self.frames_processed
-            malformed = self.frames_malformed
         wall = (time.perf_counter() - self._started_at) * 1e6 if self._started_at else 0.0
-        stats = self.engine.buffer_stats()
-        mean, p50, _, peak = latency_summary(latencies)
+        mean, p50, _, peak = latency_summary(self._latencies)
         metrics = RunMetrics(
-            events_processed=processed,
-            computation_micros=computation,
-            idle_micros=max(0.0, wall - computation),
+            events_processed=self.frames_processed,
+            computation_micros=self._computation_micros,
+            idle_micros=max(0.0, wall - self._computation_micros),
             wall_micros=wall,
             mean_event_micros=mean,
             p50_event_micros=p50,
             max_event_micros=peak,
             max_buffer_states=self.engine.peak_total_states,
-            max_resident_cases=stats.cases,
-            frames_malformed=malformed,
+            max_resident_cases=self.engine.buffer_stats().cases,
+            frames_malformed=self.frames_malformed,
         )
         return metrics.to_dict()
 
@@ -518,7 +525,8 @@ class StreamServer:
     def _connection_loop(self, conn: socket.socket, peer) -> None:
         logger.debug("connection from %s", peer)
         try:
-            with conn, conn.makefile("rw", encoding="utf-8", newline="\n") as file:
+            # A non-UTF-8 byte becomes U+FFFD, so its line fails to parse.
+            with conn, conn.makefile("rw", encoding="utf-8", errors="replace", newline="\n") as file:
                 self._read_frames(file)
         except OSError as exc:  # the peer reset, or stop() shut the socket
             logger.debug("connection from %s ended: %s", peer, exc)
@@ -540,59 +548,40 @@ class StreamServer:
                     self.frames_malformed += 1
                 logger.warning("skipping malformed frame: %s", exc)
                 continue
-            if isinstance(frame, str):
-                self._handle_command(frame, file)
+            if isinstance(frame, StreamFrame):
+                self._queue.put(frame)  # blocks when full: backpressure
+            elif frame in ("metrics", "shutdown"):
+                # The consumer answers once it reaches this item in the queue.
+                reply = queue.SimpleQueue()
+                self._queue.put(reply)
+                file.write(json.dumps(reply.get()) + "\n")
+                file.flush()
                 if frame == "shutdown":
+                    self._stop.set()  # only now, so stop() cannot cut off the answer
                     break
-                continue
-            with self._lock:
-                self._enqueued += 1
-            self._queue.put(frame)  # blocks when full: backpressure
-
-    def _handle_command(self, cmd: str, file) -> None:
-        if cmd == "metrics":
-            self._drain_barrier()
-            file.write(json.dumps(self.metrics()) + "\n")
-            file.flush()
-        elif cmd == "shutdown":
-            self._drain_barrier()
-            file.write(json.dumps(self.metrics()) + "\n")
-            file.flush()
-            self._stop.set()
-        else:
-            with self._lock:
-                self.frames_malformed += 1
-            logger.warning("unknown command %r", cmd)
-
-    def _drain_barrier(self, timeout: float = 10.0) -> None:
-        # Answer only after every frame enqueued so far has left the engine;
-        # an empty queue is not enough, the consumer may still be processing one.
-        with self._lock:
-            target = self._enqueued
-            self._lock.wait_for(lambda: self._consumed >= target, timeout)
+            else:
+                with self._lock:
+                    self.frames_malformed += 1
+                logger.warning("unknown command %r", frame)
 
     def _consume_loop(self) -> None:
         while True:
-            try:
-                frame = self._queue.get(timeout=0.1)
-            except queue.Empty:
-                if self._stop.is_set():
-                    return
-                continue
-            try:
-                result = self.engine.process(frame.case_id, frame.activity, frame.timestamp)
-            except Exception:  # defensive: a bad frame must never kill the engine
-                logger.exception("engine rejected frame %r", frame)
-                result = None
-            with self._lock:
-                if result is None:
-                    self.frames_malformed += 1
-                else:
-                    self.frames_processed += 1
-                    self._computation_micros += result.processing_micros
-                    self._latencies.append(result.processing_micros)
-                self._consumed += 1
-                self._lock.notify_all()
+            item = self._queue.get()
+            if item is None:
+                return
+            if isinstance(item, StreamFrame):
+                try:
+                    result = self.engine.process(item.case_id, item.activity, item.timestamp)
+                except Exception:  # defensive: a bad frame must never kill the engine
+                    logger.exception("engine rejected frame %r", item)
+                    with self._lock:
+                        self.frames_malformed += 1
+                    continue
+                self.frames_processed += 1
+                self._computation_micros += result.processing_micros
+                self._latencies.append(result.processing_micros)
+            else:
+                item.put(self.metrics())
 
 
 def serve(

@@ -35,8 +35,9 @@ def workflow_proxy() -> ProxyLog:
     return parse_proxy_log(WORKFLOW_PROXY_TEXT)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def workflow_trie(workflow_proxy):
+    # Function-scoped: engines intern unseen labels into the trie's alphabet.
     return build_trie(workflow_proxy)
 
 

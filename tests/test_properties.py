@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trie_align import (
@@ -151,6 +151,8 @@ def test_indexed_search_matches_the_level_walk(rng):
 
 
 @given(proxy_logs, observed_trace, st.sampled_from(["fixed2", "fixed4", "discounted"]))
+# Both successors of the sync step on "b" would exceed the bound of 4.
+@example(proxy=ProxyLog((tuple("bab"),)), trace=["a", "b"], decay_mode="fixed2")
 @settings(max_examples=150, deadline=None)
 def test_engine_invariants_on_random_streams(proxy, trace, decay_mode):
     trie = build_trie(proxy)

@@ -350,6 +350,41 @@ class TestStreamServer:
         finally:
             server.stop()
 
+    def test_only_the_consumer_touches_the_engine(self, workflow_trie):
+        threads: set[int] = set()
+
+        class RecordingEngine(Engine):
+            def process(self, case_id, activity, timestamp=None):
+                threads.add(threading.get_ident())
+                return super().process(case_id, activity, timestamp)
+
+            def buffer_stats(self):
+                threads.add(threading.get_ident())
+                return super().buffer_stats()
+
+            def case_ids(self):
+                threads.add(threading.get_ident())
+                return super().case_ids()
+
+        engine = RecordingEngine(EngineConfig(trie=workflow_trie))
+        server = StreamServer(engine, port=0)
+        server.start()
+        try:
+            lines = [StreamFrame(f"c{i}", "a").to_json_line() for i in range(5)]
+            metrics = json.loads(send_lines(server.address, lines + ['{"cmd":"metrics"}'])[0])
+            assert metrics["events_processed"] == 5
+            assert len(threads) == 1
+            assert threading.get_ident() not in threads
+        finally:
+            server.stop()
+
+    def test_non_utf8_line_is_counted_and_skipped(self, running_server):
+        with socket.create_connection(running_server.address, timeout=5.0) as client:
+            client.sendall(b'\xff\xfe\n{"cmd":"metrics"}\n')
+            with client.makefile("r", encoding="utf-8") as file:
+                metrics = json.loads(file.readline())
+        assert metrics["frames_malformed"] == 1
+
     def test_tcp_sink_round_trip(self, running_server):
         host, port = running_server.address
         sink = TcpSink(host, port)

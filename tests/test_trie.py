@@ -57,6 +57,11 @@ class TestBuildTrie:
     def test_max_branching(self, workflow_trie):
         assert workflow_trie.max_branching == 3
 
+    def test_alphabet_holds_only_the_proxy_labels(self, workflow_trie):
+        # Engines intern unseen labels into the trie's alphabet, so this
+        # fails whenever an earlier test's engine shared the fixture.
+        assert workflow_trie.alphabet.labels() == list("abcde")
+
     def test_single_activity_trace(self):
         trie = build_trie(ProxyLog((("a",),)))
         assert trie.node_count == 2
