@@ -298,7 +298,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     host, port = _parse_addr(args.listen)
     engine = Engine(EngineConfig(trie=trie, decay=policy))
     try:
-        report = serve_stream(engine, host=host, port=port, queue_size=args.queue_size)
+        report = serve_stream(engine, host=host, port=port)
     except OSError as exc:
         return _fail(f"cannot bind {args.listen}: {exc}", EXIT_CONNECT)
     print(json.dumps(report))
@@ -505,7 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="accept newline-delimited JSON frames over TCP")
     p.add_argument("--trie", required=True)
     p.add_argument("--listen", default="127.0.0.1:9099", help="host:port (default 127.0.0.1:9099)")
-    p.add_argument("--queue-size", type=int, default=4096)
     _add_decay_flags(p)
     p.set_defaults(func=cmd_serve)
 

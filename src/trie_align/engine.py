@@ -466,19 +466,16 @@ class Engine:
 
             # Keep only the cheapest candidates, one state per trie node;
             # on a node clash the shorter alignment wins, first come first
-            # kept on equal length.
+            # kept on equal length. A replaced state keeps its node's first
+            # position in the dict, so the order stays generation order.
             per_node: dict[int, State] = {}
-            order: list[int] = []
             for cand in interim:
                 if cand.cost != min_cost:
                     continue
                 kept = per_node.get(cand.node)
-                if kept is None:
+                if kept is None or cand.moves_len < kept.moves_len:
                     per_node[cand.node] = cand
-                    order.append(cand.node)
-                elif cand.moves_len < kept.moves_len:
-                    per_node[cand.node] = cand
-            new_states = [per_node[node] for node in order]
+            new_states = list(per_node.values())
 
         # Admission cap, on both steps: ties must not multiply lineages
         # past the branching budget, or past what keeps the case under

@@ -5,11 +5,12 @@ Wire protocol: newline-delimited UTF-8 JSON, one frame per line, e.g.
 optional). Two control lines are understood by the server:
 ``{"cmd": "metrics"}`` answers with a metrics report on the same
 connection, ``{"cmd": "shutdown"}`` answers with the final report and
-stops the server. A command rides the same FIFO queue as the frames, so
-its answer counts every frame queued before it, and the one consumer
-thread that owns the engine computes it. Each line is decoded once, by
-:func:`parse_frame`. Malformed lines (non-UTF-8 bytes included) are
-counted, logged, and skipped; they never take the engine down.
+stops the server. One selector loop thread owns the connections and the
+engine; it processes lines in the order it reads them and answers a
+command inline, so the answer counts every frame read before it. Each
+line is decoded once, by :func:`parse_frame`. Malformed lines (non-UTF-8
+bytes included) are counted, logged, and skipped; they never take the
+engine down.
 
 Replay can drive an in-process engine or a remote TCP endpoint, in
 round-robin or timestamp order, throttled or flat out. The latency
@@ -21,11 +22,12 @@ from __future__ import annotations
 
 import json
 import logging
-import queue
+import selectors
 import socket
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 from .engine import Engine
@@ -267,11 +269,9 @@ class EngineSink:
     def __init__(self, engine: Engine) -> None:
         self.engine = engine
         self.latencies: list[float] = []
-        self.results_costs: list[int] = []
 
     def send(self, frame: StreamFrame) -> float:
         result = self.engine.process(frame.case_id, frame.activity, frame.timestamp)
-        self.results_costs.append(result.best_cost)
         self.latencies.append(result.processing_micros)
         return result.processing_micros
 
@@ -387,40 +387,37 @@ def drive(frames: Iterable[StreamFrame], sink, rate: float | None = None) -> Run
 
 # -- server ----------------------------------------------------------------
 
+# Bytes taken from a ready connection per read.
+_READ_CHUNK = 65536
+# How long stop() keeps reading what clients had already sent.
+_DRAIN_SECONDS = 5.0
+# How long an answer may take to write before its connection is dropped.
+_ANSWER_TIMEOUT = 5.0
+
 
 class StreamServer:
     """TCP ingestion front end for one engine.
 
-    Connection readers decode lines and put frames and control commands
-    on one bounded FIFO queue (a full queue blocks the reader:
-    backpressure, no drops). A single consumer thread takes the items in
-    order and is the only code that touches the engine or the event
-    counters while the server runs. It answers a command once every item
-    queued before it has been processed, and the reader writes the answer
-    back. Start with :meth:`start`, stop with :meth:`stop` or a
-    ``shutdown`` control frame; call :meth:`metrics` directly only once
-    stopped, and send a ``metrics`` frame while running.
+    One thread runs a selector loop that owns the listening socket, every
+    connection and the engine. Each ready connection yields one bounded
+    read; its complete lines are decoded and processed at once, in the
+    order read, and a command is answered inline, so its answer counts
+    every frame read before it. A partial line waits in the connection's
+    buffer. While the engine is busy nothing is read, so TCP flow control
+    holds the clients back. Start with :meth:`start`,
+    stop with :meth:`stop` or a ``shutdown`` control frame; call
+    :meth:`metrics` directly only once stopped, and send a ``metrics``
+    frame while running.
     """
 
-    def __init__(
-        self,
-        engine: Engine,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        queue_size: int = 4096,
-    ) -> None:
+    def __init__(self, engine: Engine, host: str = "127.0.0.1", port: int = 0) -> None:
         self.engine = engine
         self._host = host
         self._port = port
-        # Frames, a command's reply slot, and the None that ends the consumer.
-        self._queue: queue.Queue = queue.Queue(maxsize=queue_size)
         self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
-        # Open connections and their reader threads; readers remove themselves.
-        self._connections: dict[socket.socket, threading.Thread] = {}
-        self._server_sock: socket.socket | None = None
-        # Guards _connections and frames_malformed, which readers update too.
-        self._lock = threading.Lock()
+        self._thread: threading.Thread | None = None
+        # stop() writes a byte to the second socket to wake the loop.
+        self._wake: tuple[socket.socket, socket.socket] | None = None
         self.frames_processed = 0
         self.frames_malformed = 0
         self._computation_micros = 0.0
@@ -438,15 +435,14 @@ class StreamServer:
         except OSError:
             sock.close()
             raise
-        sock.settimeout(0.2)
-        self._server_sock = sock
+        sock.setblocking(False)
         self._port = sock.getsockname()[1]
+        self._wake = socket.socketpair()
         self._started_at = time.perf_counter()
-        acceptor = threading.Thread(target=self._accept_loop, name="trie-align-accept", daemon=True)
-        consumer = threading.Thread(target=self._consume_loop, name="trie-align-consume", daemon=True)
-        self._threads = [acceptor, consumer]
-        acceptor.start()
-        consumer.start()
+        self._thread = threading.Thread(
+            target=self._serve, args=(sock, self._wake[0]), name="trie-align-serve", daemon=True
+        )
+        self._thread.start()
         logger.info("listening on %s:%d", self._host, self._port)
 
     @property
@@ -458,30 +454,21 @@ class StreamServer:
         return self._stop.wait(timeout)
 
     def stop(self) -> dict:
-        """Stop accepting, close connections, drain the queue; return the final report.
+        """Process what clients already sent, close every socket; return the final report.
 
-        Every item queued before the readers are gone is processed, and the
-        report is computed once no server thread is left. Idempotent.
+        The loop accepts the connections still in the listen backlog and
+        reads every byte already received, until nothing is ready or
+        ``_DRAIN_SECONDS`` pass; the report is computed once the loop's
+        thread has exited. Idempotent.
         """
         self._stop.set()
-        if self._threads:
-            acceptor, consumer = self._threads
-            self._threads = []
-            acceptor.join()
-            # The acceptor has exited, so no connection opens after this copy.
-            with self._lock:
-                connections = list(self._connections.items())
-            for conn, reader in connections:
-                try:
-                    conn.shutdown(socket.SHUT_RDWR)  # wakes a reader blocked in recv
-                except OSError:
-                    pass  # its reader closed it first
-                reader.join()
-            self._queue.put(None)
-            consumer.join()
-        if self._server_sock is not None:
-            self._server_sock.close()
-            self._server_sock = None
+        if self._thread is not None:
+            waker, self._wake = self._wake, None
+            waker[1].send(b"\0")
+            self._thread.join()
+            self._thread = None
+            for sock in waker:
+                sock.close()
         report = self.metrics()
         logger.info("shut down: %s", report)
         return report
@@ -506,92 +493,95 @@ class StreamServer:
 
     # -- internals
 
-    def _accept_loop(self) -> None:
-        assert self._server_sock is not None
-        while not self._stop.is_set():
+    def _serve(self, listener: socket.socket, wake: socket.socket) -> None:
+        # Each key's data is the handler to call when its socket is ready.
+        with selectors.DefaultSelector() as selector:
+            selector.register(listener, selectors.EVENT_READ, partial(self._accept, selector, listener))
+            selector.register(wake, selectors.EVENT_READ, partial(wake.recv, 64))  # stop()'s byte
             try:
-                conn, peer = self._server_sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            reader = threading.Thread(
-                target=self._connection_loop, args=(conn, peer), daemon=True
-            )
-            with self._lock:
-                self._connections[conn] = reader
-            reader.start()
+                while not self._stop.is_set():
+                    for key, _ in selector.select():
+                        key.data()
+                # Drain: the listen backlog and every byte already received.
+                deadline = time.monotonic() + _DRAIN_SECONDS
+                while time.monotonic() < deadline:
+                    ready = selector.select(0)
+                    if not ready:
+                        break
+                    for key, _ in ready:
+                        key.data()
+            finally:
+                for key in list(selector.get_map().values()):
+                    if key.fileobj is not wake:  # stop() closes the wake pair
+                        key.fileobj.close()
 
-    def _connection_loop(self, conn: socket.socket, peer) -> None:
-        logger.debug("connection from %s", peer)
+    def _accept(self, selector: selectors.BaseSelector, listener: socket.socket) -> None:
         try:
-            # A non-UTF-8 byte becomes U+FFFD, so its line fails to parse.
-            with conn, conn.makefile("rw", encoding="utf-8", errors="replace", newline="\n") as file:
-                self._read_frames(file)
-        except OSError as exc:  # the peer reset, or stop() shut the socket
-            logger.debug("connection from %s ended: %s", peer, exc)
-        finally:
-            with self._lock:
-                del self._connections[conn]
+            conn, peer = listener.accept()
+        except OSError:  # the client gave up before it was accepted
+            return
+        logger.debug("connection from %s", peer)
+        conn.settimeout(_ANSWER_TIMEOUT)  # recv only runs once the socket is ready
+        selector.register(conn, selectors.EVENT_READ, partial(self._read, selector, conn, bytearray()))
 
-    def _read_frames(self, file) -> None:
-        for line in file:
-            if self._stop.is_set():
-                break
+    def _read(self, selector: selectors.BaseSelector, conn: socket.socket, pending: bytearray) -> None:
+        try:
+            chunk = conn.recv(_READ_CHUNK)
+        except OSError as exc:  # the peer reset the connection
+            logger.debug("connection ended: %s", exc)
+            chunk = b""
+        pending += chunk
+        # At EOF the last line may lack its newline.
+        end = pending.rfind(b"\n") + 1 if chunk else len(pending)
+        # A line never ends inside a character, so decoding whole lines is exact;
+        # a non-UTF-8 byte becomes U+FFFD, and its line fails to parse.
+        text = pending[:end].decode("utf-8", errors="replace")
+        del pending[:end]
+        alive = bool(chunk)
+        for line in text.split("\n"):
             line = line.strip()
-            if not line:
-                continue
+            if line and not self._handle_line(conn, line):
+                alive = False
+                break
+        if not alive:
+            selector.unregister(conn)
+            conn.close()
+
+    def _handle_line(self, conn: socket.socket, line: str) -> bool:
+        """Process one line; False once its connection must be closed."""
+        try:
+            frame = parse_frame(line)
+        except FrameError as exc:
+            self.frames_malformed += 1
+            logger.warning("skipping malformed frame: %s", exc)
+            return True
+        if isinstance(frame, StreamFrame):
             try:
-                frame = parse_frame(line)
-            except FrameError as exc:
-                with self._lock:
-                    self.frames_malformed += 1
-                logger.warning("skipping malformed frame: %s", exc)
-                continue
-            if isinstance(frame, StreamFrame):
-                self._queue.put(frame)  # blocks when full: backpressure
-            elif frame in ("metrics", "shutdown"):
-                # The consumer answers once it reaches this item in the queue.
-                reply = queue.SimpleQueue()
-                self._queue.put(reply)
-                file.write(json.dumps(reply.get()) + "\n")
-                file.flush()
-                if frame == "shutdown":
-                    self._stop.set()  # only now, so stop() cannot cut off the answer
-                    break
-            else:
-                with self._lock:
-                    self.frames_malformed += 1
-                logger.warning("unknown command %r", frame)
-
-    def _consume_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:
-                return
-            if isinstance(item, StreamFrame):
-                try:
-                    result = self.engine.process(item.case_id, item.activity, item.timestamp)
-                except Exception:  # defensive: a bad frame must never kill the engine
-                    logger.exception("engine rejected frame %r", item)
-                    with self._lock:
-                        self.frames_malformed += 1
-                    continue
-                self.frames_processed += 1
-                self._computation_micros += result.processing_micros
-                self._latencies.append(result.processing_micros)
-            else:
-                item.put(self.metrics())
+                result = self.engine.process(frame.case_id, frame.activity, frame.timestamp)
+            except Exception:  # defensive: a bad frame must never kill the engine
+                logger.exception("engine rejected frame %r", frame)
+                self.frames_malformed += 1
+                return True
+            self.frames_processed += 1
+            self._computation_micros += result.processing_micros
+            self._latencies.append(result.processing_micros)
+        elif frame in ("metrics", "shutdown"):
+            try:
+                conn.sendall((json.dumps(self.metrics()) + "\n").encode("utf-8"))
+            except OSError as exc:  # timed out, or the peer is gone
+                logger.warning("dropping a connection that took no answer: %s", exc)
+                return False
+            if frame == "shutdown":
+                self._stop.set()
+        else:
+            self.frames_malformed += 1
+            logger.warning("unknown command %r", frame)
+        return True
 
 
-def serve(
-    engine: Engine,
-    host: str = "127.0.0.1",
-    port: int = 9099,
-    queue_size: int = 4096,
-) -> dict:
+def serve(engine: Engine, host: str = "127.0.0.1", port: int = 9099) -> dict:
     """Run a stream server until a shutdown frame or interrupt; returns the final report."""
-    server = StreamServer(engine, host=host, port=port, queue_size=queue_size)
+    server = StreamServer(engine, host=host, port=port)
     server.start()
     try:
         server.wait()

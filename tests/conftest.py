@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from trie_align import ActivityTable, ProxyLog, build_trie, parse_proxy_log
@@ -28,6 +30,17 @@ WORKFLOW_TRACES = [
     tuple("acbdbe"),
     tuple("acbe"),
 ]
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that leaves alive a thread it started."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [t for t in threading.enumerate() if t not in before]
+    for thread in leaked:
+        thread.join(timeout=1.0)  # one that is already on its way out
+    assert [t.name for t in leaked if t.is_alive()] == []
 
 
 @pytest.fixture(scope="session")

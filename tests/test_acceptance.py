@@ -253,15 +253,15 @@ def test_c8_soak_noise_sweep():
 
         def run_once() -> tuple[list[int], list[int], int]:
             engine = Engine(EngineConfig(trie=trie))
-            sink = EngineSink(engine)
+            costs: list[int] = []
             high_water: list[int] = []
             for frame in simulate_stream(
                 trie, noise_level=noise, seed=29, max_events=events_per_level, duration=None
             ):
-                sink.send(frame)
+                costs.append(engine.process(frame.case_id, frame.activity, frame.timestamp).best_cost)
                 high_water.append(engine.peak_total_states)
             assert _audit_buffer_bounds(engine) == 0
-            return sink.results_costs, high_water, engine.states_created
+            return costs, high_water, engine.states_created
 
         costs_a, high_water, created = run_once()
         costs_b, _, _ = run_once()

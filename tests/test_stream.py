@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import socket
@@ -340,15 +341,86 @@ class TestStreamServer:
                     assert chunk, "server closed before answering"
                     reply += chunk
                 server.stop()
-                readers = [
-                    t
-                    for t in threading.enumerate()
-                    if t not in before and "_connection_loop" in t.name
-                ]
-                assert readers == []
+                assert [t for t in threading.enumerate() if t not in before] == []
                 assert client.recv(4096) == b""  # EOF, not a hang
         finally:
             server.stop()
+
+    def test_one_thread_serves_every_connection(self, workflow_trie):
+        server = StreamServer(Engine(EngineConfig(trie=workflow_trie)), port=0)
+        before = set(threading.enumerate())
+        server.start()
+        try:
+            with contextlib.ExitStack() as stack:
+                for _ in range(3):
+                    client = stack.enter_context(socket.create_connection(server.address, 5.0))
+                    client.sendall(b'{"cmd":"metrics"}\n')
+                    file = stack.enter_context(client.makefile("r", encoding="utf-8"))
+                    assert json.loads(file.readline())["events_processed"] == 0
+                started = [t for t in threading.enumerate() if t not in before]
+                assert len(started) == 1
+        finally:
+            server.stop()
+        assert not started[0].is_alive()
+
+    def test_stop_keeps_every_frame_already_sent(self, workflow_trie):
+        # 5,000 cases of a, b, c, e: the client sends them all and closes,
+        # and stop() comes before the server has read most of them.
+        n_cases = 5_000
+        wire = "".join(
+            StreamFrame(f"c{i}", a).to_json_line() + "\n" for i in range(n_cases) for a in "abce"
+        )
+        server = StreamServer(Engine(EngineConfig(trie=workflow_trie)), port=0)
+        server.start()
+        try:
+            with socket.create_connection(server.address, timeout=5.0) as client:
+                client.sendall(wire.encode("utf-8"))
+        finally:
+            report = server.stop()
+        assert report["events_processed"] == 4 * n_cases
+        assert report["frames_malformed"] == 0
+
+    def test_multibyte_label_split_across_reads(self, running_server):
+        line = '{"case":"u1","activity":"prüfen"}\n'.encode("utf-8")
+        cut = line.index("ü".encode("utf-8")) + 1  # inside the two-byte character
+        with socket.create_connection(running_server.address, timeout=5.0) as client:
+            client.sendall(line[:cut])
+            time.sleep(0.05)  # the server reads the first part on its own
+            client.sendall(line[cut:] + b'{"cmd":"metrics"}\n')
+            with client.makefile("r", encoding="utf-8") as file:
+                metrics = json.loads(file.readline())
+        assert metrics["events_processed"] == 1
+        assert metrics["frames_malformed"] == 0
+        assert running_server.engine.trie.alphabet.code("prüfen") is not None
+
+    def test_last_line_without_newline_is_processed(self, running_server):
+        with socket.create_connection(running_server.address, timeout=5.0) as client:
+            client.sendall(StreamFrame("c1", "a").to_json_line().encode("utf-8"))
+            client.shutdown(socket.SHUT_WR)
+            assert client.recv(4096) == b""  # the server has read to EOF and closed
+        assert running_server.stop()["events_processed"] == 1
+
+    def test_idle_connection_does_not_delay_metrics(self, running_server):
+        with socket.create_connection(running_server.address, timeout=5.0) as idle:
+            idle.sendall(b'{"case":"c1",')  # half a line, then nothing
+            started = time.perf_counter()
+            lines = [StreamFrame("c2", "a").to_json_line(), '{"cmd":"metrics"}']
+            metrics = json.loads(send_lines(running_server.address, lines)[0])
+            assert time.perf_counter() - started < 1.0
+        assert metrics["events_processed"] == 1
+
+    def test_client_that_never_reads_loses_only_its_connection(self, running_server, monkeypatch):
+        monkeypatch.setattr(stream_mod, "_ANSWER_TIMEOUT", 0.2)
+        with socket.socket() as greedy:
+            greedy.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            greedy.settimeout(5.0)
+            greedy.connect(running_server.address)
+            # Metrics requests whose answers are never read, until the server resets.
+            with pytest.raises((ConnectionResetError, BrokenPipeError)):
+                for _ in range(10_000):
+                    greedy.sendall(b'{"cmd":"metrics"}\n' * 100)
+        lines = [StreamFrame("c1", "a").to_json_line(), '{"cmd":"metrics"}']
+        assert json.loads(send_lines(running_server.address, lines)[0])["events_processed"] == 1
 
     def test_only_the_consumer_touches_the_engine(self, workflow_trie):
         threads: set[int] = set()
