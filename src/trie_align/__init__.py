@@ -32,7 +32,6 @@ from .engine import (
     UnknownCaseError,
     decay_time,
     expand_model_moves,
-    parse_engine_settings,
 )
 from .events import (
     ActivityTable,
@@ -105,7 +104,6 @@ __all__ = [
     "optimal_complete",
     "optimal_prefix",
     "optimal_prefix_costs",
-    "parse_engine_settings",
     "parse_event_log",
     "parse_frame",
     "parse_proxy_log",

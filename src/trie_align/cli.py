@@ -16,10 +16,12 @@ import os
 import random
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import oracle as oracle_mod
-from .engine import DecayPolicy, Engine, EngineConfig, parse_engine_settings
+from .alignment import alignment_pairs
+from .engine import DecayPolicy, Engine, EngineConfig
 from .events import ParseError, parse_event_log, parse_proxy_log
 from .stream import (
     EngineSink,
@@ -61,9 +63,6 @@ def _load_trie_file(path: str) -> Trie:
 
 
 def _decay_policy(args: argparse.Namespace) -> DecayPolicy:
-    if getattr(args, "engine_config", None):
-        policy, _ = parse_engine_settings(_read_text(args.engine_config))
-        return policy
     choice = args.decay
     if choice == "discounted":
         return DecayPolicy.discounted(df=args.df, min_dt=args.min_dt)
@@ -73,14 +72,13 @@ def _decay_policy(args: argparse.Namespace) -> DecayPolicy:
 
 
 def _add_decay_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--decay", default="discounted", help="fixed:N or discounted (default)")
+    parser.add_argument(
+        "--decay",
+        default="discounted",
+        help="fixed:N (df 0, min_dt N) or discounted (default, uses --df and --min-dt)",
+    )
     parser.add_argument("--df", type=float, default=0.3, help="discounting factor (default 0.3)")
     parser.add_argument("--min-dt", type=int, default=3, help="minimum decay time (default 3)")
-    parser.add_argument(
-        "--engine-config",
-        default=None,
-        help="JSON settings file overriding the decay flags",
-    )
 
 
 def _emit(report: dict, as_json: bool, human_lines: list[str]) -> None:
@@ -135,6 +133,45 @@ def cmd_build_trie(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_traces(engine: Engine, traces, per_event: bool, records) -> tuple[list[dict], float]:
+    """Replay ``traces`` one after another: per-trace rows and total engine micros.
+
+    With ``records`` (an open text file) each event also writes one JSON
+    record carrying the case's best prefix alignment after that event.
+    """
+    trie = engine.trie
+    label = trie.alphabet.label
+    per_trace = []
+    total_micros = 0.0
+    for trace in traces:
+        events_micros = 0.0
+        per_event_costs = []
+        for ev in trace.events:
+            result = engine.process(trace.case_id, ev.activity, ev.timestamp)
+            events_micros += result.processing_micros
+            if per_event:
+                per_event_costs.append(result.best_cost)
+            if records is not None:
+                record = result.to_record(label)
+                record["alignment"] = alignment_pairs(
+                    engine.best_state(trace.case_id).alignment(), label
+                )
+                records.write(json.dumps(record) + "\n")
+        best = engine.best_state(trace.case_id)
+        row = {
+            "case_id": trace.case_id,
+            "events": len(trace),
+            "prefix_cost": best.cost,
+            "complete_cost": best.cost + trie.min_to_end[best.node],
+            "micros": round(events_micros, 1),
+        }
+        if per_event:
+            row["per_event_costs"] = per_event_costs
+        per_trace.append(row)
+        total_micros += events_micros
+    return per_trace, total_micros
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     try:
         trie = _load_trie_file(args.trie)
@@ -148,48 +185,18 @@ def cmd_check(args: argparse.Namespace) -> int:
         return _fail(str(exc), EXIT_INPUT)
     try:
         policy = _decay_policy(args)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(str(exc), EXIT_INPUT)
 
-    emit_alignments = args.records is not None
-    if args.engine_config:
-        _, emit_alignments = parse_engine_settings(_read_text(args.engine_config))
-    engine = Engine(
-        EngineConfig(trie=trie, decay=policy, emit_per_event_alignment=emit_alignments)
-    )
-    records_file = open(args.records, "w", encoding="utf-8") if args.records else None
-    per_trace = []
-    total_micros = 0.0
-    total_events = 0
-    for trace in traces:
-        events_micros = 0.0
-        per_event_costs = []
-        for ev in trace.events:
-            result = engine.process(trace.case_id, ev.activity, ev.timestamp)
-            events_micros += result.processing_micros
-            if args.per_event:
-                per_event_costs.append(result.best_cost)
-            if records_file is not None:
-                records_file.write(json.dumps(result.to_record(trie.alphabet.label)) + "\n")
-        best = engine.best_state(trace.case_id)
-        prefix_cost = best.cost
-        complete_cost = best.cost + trie.min_to_end[best.node]
-        row = {
-            "case_id": trace.case_id,
-            "events": len(trace),
-            "prefix_cost": prefix_cost,
-            "complete_cost": complete_cost,
-            "micros": round(events_micros, 1),
-        }
-        if args.per_event:
-            row["per_event_costs"] = per_event_costs
-        per_trace.append(row)
-        total_micros += events_micros
-        total_events += len(trace)
-    if records_file is not None:
-        records_file.close()
+    engine = Engine(EngineConfig(trie=trie, decay=policy))
+    try:
+        with open(args.records, "w", encoding="utf-8") if args.records else nullcontext() as records:
+            per_trace, total_micros = _check_traces(engine, traces, args.per_event, records)
+    except OSError as exc:
+        return _fail(f"cannot write records: {exc}", EXIT_INPUT)
 
     n = len(per_trace)
+    total_events = sum(r["events"] for r in per_trace)
     aggregate = {
         "traces": n,
         "events": total_events,
@@ -293,9 +300,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         trie = _load_trie_file(args.trie)
         policy = _decay_policy(args)
+        host, port = _parse_addr(args.listen)
     except (OSError, TrieFormatError, ValueError) as exc:
         return _fail(str(exc), EXIT_INPUT)
-    host, port = _parse_addr(args.listen)
     engine = Engine(EngineConfig(trie=trie, decay=policy))
     try:
         report = serve_stream(engine, host=host, port=port)
@@ -307,6 +314,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def _parse_addr(addr: str) -> tuple[str, int]:
     host, _, port = addr.rpartition(":")
+    if not (port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise ValueError(f"bad address {addr!r}: port must be an integer from 0 to 65535")
     return host or "127.0.0.1", int(port)
 
 
@@ -357,6 +366,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         trie = _load_trie_file(args.trie)
         policy = _decay_policy(args)
+        address = _parse_addr(args.connect) if args.connect else None
     except (OSError, TrieFormatError, ValueError) as exc:
         return _fail(str(exc), EXIT_INPUT)
 
@@ -369,16 +379,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         cases_in_flight=args.cases_in_flight,
     )
 
-    if args.connect:
-        host, port = _parse_addr(args.connect)
+    if address is not None:
         try:
-            sink = TcpSink(host, port)
+            sink = TcpSink(*address)
         except ConnectionError as exc:
             return _fail(str(exc), EXIT_CONNECT)
         started = time.perf_counter()
-        sent = drive(frames, sink, args.rate).events_processed
-        server_metrics = sink.request_metrics()
-        sink.close()
+        try:
+            sent = drive(frames, sink, args.rate).events_processed
+            server_metrics = sink.request_metrics()
+        except OSError as exc:
+            return _fail(f"connection to {args.connect} lost: {exc}", EXIT_CONNECT)
+        finally:
+            sink.close()
         wall = (time.perf_counter() - started) * 1e6
         report = {"sent": sent, "wall_micros": round(wall, 1), "server": server_metrics}
         _emit(report, args.json, [f"sent {sent} frames", f"server metrics: {server_metrics}"])
@@ -510,9 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="stream noisy model traces into an engine or a server")
     p.add_argument("--trie", required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--connect", help="host:port of a running server")
-    group.add_argument("--inproc", action="store_true", help="drive an in-process engine (default)")
+    p.add_argument("--connect", help="host:port of a running server (default: in-process engine)")
     p.add_argument("--noise", type=float, default=0.0, help="mutation probability (e.g. 0.05)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--duration", type=float, default=None, help="run for N seconds")

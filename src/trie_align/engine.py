@@ -35,6 +35,7 @@ engines sharing one immutable trie.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -45,9 +46,6 @@ from .trie import ROOT, Trie
 #: Admission sentinel, larger than any reachable alignment cost.
 UNBOUNDED_COST = float("inf")
 
-FIXED = "fixed"
-DISCOUNTED = "discounted"
-
 
 class UnknownCaseError(KeyError):
     """Raised when querying a case id the engine has never seen."""
@@ -57,73 +55,37 @@ class UnknownCaseError(KeyError):
 class DecayPolicy:
     """How many subsequent events a newly created state survives.
 
-    ``fixed`` mode always issues ``fixed_value``. ``discounted`` mode
-    issues ``max(round((avg_leaf_depth - i) * df), min_dt)`` where ``i``
-    is the number of events seen for the case, so states created early in
-    a case live longer than states created late.
+    A state created after the ``i``-th event of a case gets
+    ``max(round((avg_leaf_depth - i) * df), min_dt)`` events to live, so
+    states created early in a case live longer than states created late.
+    With ``df == 0`` every state gets exactly ``min_dt`` (fixed decay).
     """
 
-    mode: str = DISCOUNTED
-    fixed_value: int = 1
     df: float = 0.3
     min_dt: int = 3
 
     def __post_init__(self) -> None:
-        if self.mode not in (FIXED, DISCOUNTED):
-            raise ValueError(f"decay mode must be fixed or discounted, got {self.mode!r}")
-        if self.fixed_value < 1:
-            raise ValueError("fixed_value must be >= 1")
-        if self.df <= 0:
-            raise ValueError("df must be > 0")
+        if not (math.isfinite(self.df) and self.df >= 0):
+            raise ValueError("df must be finite and >= 0")
         if self.min_dt < 1:
             raise ValueError("min_dt must be >= 1")
 
     @classmethod
     def fixed(cls, value: int) -> "DecayPolicy":
-        return cls(mode=FIXED, fixed_value=value)
+        return cls(df=0, min_dt=value)
 
     @classmethod
     def discounted(cls, df: float = 0.3, min_dt: int = 3) -> "DecayPolicy":
-        return cls(mode=DISCOUNTED, df=df, min_dt=min_dt)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "DecayPolicy":
-        """Build a policy from config-file fields; missing ones keep defaults."""
-        defaults = cls()
-        return cls(
-            mode=doc.get("mode", defaults.mode),
-            fixed_value=int(doc.get("fixed_value", defaults.fixed_value)),
-            df=float(doc.get("df", defaults.df)),
-            min_dt=int(doc.get("min_dt", defaults.min_dt)),
-        )
-
-
-def parse_engine_settings(text: str) -> tuple[DecayPolicy, bool]:
-    """Parse an engine settings file (JSON).
-
-    Shape: ``{"decay": {"mode", "fixed_value", "df", "min_dt"},
-    "emit_per_event_alignment": bool}``; both sections optional.
-    """
-    import json
-
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("engine settings must be a JSON object")
-    policy = DecayPolicy.from_dict(doc.get("decay", {}))
-    emit = bool(doc.get("emit_per_event_alignment", False))
-    return policy, emit
+        return cls(df=df, min_dt=min_dt)
 
 
 def decay_time(avg_leaf_depth: float, i: int, policy: DecayPolicy) -> int:
     """Decay counter for a state created after the ``i``-th event of a case.
 
-    Fixed mode ignores ``avg_leaf_depth`` and ``i``. Discounted mode scales
-    the remaining expected trace length by the discounting factor, rounded
-    to the nearest integer and floored at ``min_dt``; the floor also covers
-    cases older than the average leaf depth.
+    Scales the remaining expected trace length by the discounting factor,
+    rounded to the nearest integer and floored at ``min_dt``; the floor
+    also covers cases older than the average leaf depth.
     """
-    if policy.mode == FIXED:
-        return policy.fixed_value
     return max(round((avg_leaf_depth - i) * policy.df), policy.min_dt)
 
 
@@ -196,11 +158,10 @@ class State:
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Engine wiring: the shared trie, the decay policy, and emission."""
+    """Engine wiring: the shared trie and the decay policy."""
 
     trie: Trie
-    decay: DecayPolicy = field(default_factory=DecayPolicy.discounted)
-    emit_per_event_alignment: bool = False
+    decay: DecayPolicy = field(default_factory=DecayPolicy)
 
 
 @dataclass(frozen=True)
@@ -232,13 +193,10 @@ class ProcessResult:
     best_cost: int
     states_in_case: int
     processing_micros: float
-    alignment: Alignment | None = None
 
     def to_record(self, label_of) -> dict:
         """JSON-friendly per-event record for downstream sinks."""
-        from .alignment import alignment_pairs
-
-        record = {
+        return {
             "case_id": self.case_id,
             "event_seq": self.event_index,
             "activity": label_of(self.activity),
@@ -246,9 +204,6 @@ class ProcessResult:
             "states_in_case": self.states_in_case,
             "processing_micros": round(self.processing_micros, 3),
         }
-        if self.alignment is not None:
-            record["alignment"] = alignment_pairs(self.alignment, label_of)
-        return record
 
 
 class _CaseEntry:
@@ -353,7 +308,6 @@ class Engine:
     """Single-writer conformance engine over one immutable trie."""
 
     def __init__(self, config: EngineConfig) -> None:
-        self.config = config
         self.trie = config.trie
         self.policy = config.decay
         self._avg = config.trie.avg_leaf_depth
@@ -507,10 +461,6 @@ class Engine:
         best_cost = min(s.cost for s in new_states)
         elapsed_micros = (time.perf_counter_ns() - started) / 1000.0
 
-        emitted = None
-        if self.config.emit_per_event_alignment:
-            emitted = min(new_states, key=_best_key).alignment()
-
         return ProcessResult(
             case_id=case_id,
             event_index=entry.events_seen,
@@ -520,7 +470,6 @@ class Engine:
             best_cost=best_cost,
             states_in_case=len(survivors),
             processing_micros=elapsed_micros,
-            alignment=emitted,
         )
 
     # -- queries -----------------------------------------------------------

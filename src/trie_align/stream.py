@@ -316,12 +316,18 @@ class TcpSink:
         return answer
 
     def close(self) -> None:
+        """Flush and close the connection.
+
+        The file is closed too, even when its flush fails on a dropped
+        connection: the socket's descriptor is released only once the
+        file made by ``makefile`` is closed.
+        """
         if self._sock is not None:
             try:
-                self._file.flush()
-                self._sock.close()
+                self._file.close()
             except OSError:
                 pass
+            self._sock.close()
             self._sock = None
 
 

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import shlex
 import socket
 import threading
+from pathlib import Path
 
 import pytest
 
-from trie_align.cli import main
+from trie_align.cli import build_parser, main
 
 from .conftest import WORKFLOW_PROXY_TEXT
 
@@ -33,6 +35,17 @@ def trie_file(tmp_path):
 def run_json(capsys, argv) -> dict:
     assert main(argv) == 0
     return json.loads(capsys.readouterr().out)
+
+
+def test_readme_cli_lines_parse():
+    # Every documented invocation must still be accepted by the parser, so a
+    # deleted flag cannot stay in the README.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [ln for ln in readme.read_text().splitlines() if ln.startswith("trie-align ")]
+    assert len(lines) >= 7
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 class TestBuildTrie:
@@ -180,42 +193,42 @@ class TestCheck:
         assert first["event_seq"] == 1
         assert first["activity"] == "a"
         assert first["best_cost"] == 0
+        assert list(first) == [
+            "case_id",
+            "event_seq",
+            "activity",
+            "best_cost",
+            "states_in_case",
+            "processing_micros",
+            "alignment",
+        ]
         assert first["alignment"] == [{"log": "a", "model": "a"}]
         assert lines[-1]["best_cost"] == 1
         assert lines[-1]["states_in_case"] == 4
+        assert lines[-1]["alignment"] == [
+            {"log": "a", "model": "a"},
+            {"log": "b", "model": "b"},
+            {"log": "b", "model": None},
+            {"log": "c", "model": "c"},
+        ]
 
-    def test_engine_config_file_overrides_flags(self, trie_file, tmp_path, capsys):
-        config = tmp_path / "engine.json"
-        config.write_text(
-            '{"decay": {"mode": "fixed", "fixed_value": 2}, "emit_per_event_alignment": false}'
-        )
+    def test_unwritable_records_exits_2(self, trie_file, tmp_path, capsys):
         log = tmp_path / "log.csv"
         log.write_text(CHECK_LOG)
-        report = run_json(
-            capsys,
-            [
-                "check",
-                "--trie",
-                str(trie_file),
-                "--log",
-                str(log),
-                "--engine-config",
-                str(config),
-                "--json",
-            ],
-        )
-        assert report["per_trace"][0]["prefix_cost"] == 1
-        assert report["per_trace"][0]["complete_cost"] == 2
-
-    def test_bad_engine_config_exits_2(self, trie_file, tmp_path):
-        config = tmp_path / "engine.json"
-        config.write_text('{"decay": {"mode": "sideways"}}')
-        log = tmp_path / "log.csv"
-        log.write_text(CHECK_LOG)
+        records = tmp_path / "missing-dir" / "records.jsonl"
         code = main(
-            ["check", "--trie", str(trie_file), "--log", str(log), "--engine-config", str(config)]
+            ["check", "--trie", str(trie_file), "--log", str(log), "--records", str(records)]
         )
         assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot write records")
+
+    def test_bad_decay_exits_2(self, trie_file, tmp_path):
+        log = tmp_path / "log.csv"
+        log.write_text(CHECK_LOG)
+        bad = ["--decay", "sideways"], ["--decay", "fixed:0"], ["--df", "-1"], ["--df", "nan"]
+        for flags in bad:
+            code = main(["check", "--trie", str(trie_file), "--log", str(log), *flags])
+            assert code == 2
 
 
 class TestOracle:
@@ -272,7 +285,6 @@ class TestSimulate:
                 "simulate",
                 "--trie",
                 str(trie_file),
-                "--inproc",
                 "--noise",
                 "0",
                 "--seed",
@@ -308,7 +320,6 @@ class TestSimulate:
                     "simulate",
                     "--trie",
                     str(trie_file),
-                    "--inproc",
                     "--noise",
                     "0.10",
                     "--seed",
@@ -336,6 +347,42 @@ class TestSimulate:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["serve --listen", "simulate --connect"])
+    @pytest.mark.parametrize("port", ["abc", "99999", ""])
+    def test_bad_port_exits_2(self, trie_file, capsys, command, port):
+        name, flag = command.split()
+        code = main([name, "--trie", str(trie_file), flag, f"127.0.0.1:{port}"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: bad address")
+
+    def test_connection_dropped_mid_stream_exits_3(self, trie_file, capsys):
+        # A listener that accepts every connection and closes it at once.
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(4)
+            port = listener.getsockname()[1]
+
+            def accept_and_close():
+                conn, _ = listener.accept()
+                conn.close()
+
+            closer = threading.Thread(target=accept_and_close, daemon=True)
+            closer.start()
+            code = main(
+                [
+                    "simulate",
+                    "--trie",
+                    str(trie_file),
+                    "--connect",
+                    f"127.0.0.1:{port}",
+                    "--max-events",
+                    "20000",
+                ]
+            )
+            closer.join(timeout=5.0)
+        assert code == 3
+        assert "connection to" in capsys.readouterr().err
+
     def test_duration_bounded_run(self, trie_file, capsys):
         report = run_json(
             capsys,
@@ -343,7 +390,6 @@ class TestSimulate:
                 "simulate",
                 "--trie",
                 str(trie_file),
-                "--inproc",
                 "--noise",
                 "0",
                 "--seed",

@@ -16,8 +16,8 @@ from trie_align.engine import State
 from .conftest import labelize_moves, snapshot_case
 
 
-def fixed_engine(trie, value=2, **kwargs):
-    return Engine(EngineConfig(trie=trie, decay=DecayPolicy.fixed(value), **kwargs))
+def fixed_engine(trie, value=2):
+    return Engine(EngineConfig(trie=trie, decay=DecayPolicy.fixed(value)))
 
 
 class TestDecayTime:
@@ -43,9 +43,9 @@ class TestDecayTime:
         with pytest.raises(ValueError):
             DecayPolicy.fixed(0)
         with pytest.raises(ValueError):
-            DecayPolicy(mode="discounted", df=-1.0)
+            DecayPolicy(df=-1.0)
         with pytest.raises(ValueError):
-            DecayPolicy(mode="sometimes")
+            DecayPolicy(df=float("nan"))
 
 
 class TestStateBufferEvolution:
@@ -279,27 +279,24 @@ class TestDeterminismAndEmission:
             )
         assert runs[0] == runs[1]
 
-    def test_emission_record_shape(self, workflow_trie):
-        engine = Engine(
-            EngineConfig(
-                trie=workflow_trie,
-                decay=DecayPolicy.fixed(2),
-                emit_per_event_alignment=True,
-            )
-        )
+    def test_record_shape(self, workflow_trie):
+        engine = fixed_engine(workflow_trie)
         result = engine.process("c1", "a")
         record = result.to_record(workflow_trie.alphabet.label)
+        assert list(record) == [
+            "case_id",
+            "event_seq",
+            "activity",
+            "best_cost",
+            "states_in_case",
+            "processing_micros",
+        ]
         assert record["case_id"] == "c1"
         assert record["event_seq"] == 1
         assert record["activity"] == "a"
         assert record["best_cost"] == 0
         assert record["states_in_case"] == 2
-        assert record["alignment"] == [{"log": "a", "model": "a"}]
         assert record["processing_micros"] >= 0
-
-    def test_emission_disabled_by_default(self, workflow_trie):
-        engine = fixed_engine(workflow_trie)
-        assert engine.process("c1", "a").alignment is None
 
 
 class TestDiscountedDefaults:

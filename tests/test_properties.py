@@ -14,6 +14,7 @@ from trie_align import (
     alignment_cost,
     build_trie,
     complete_alignment,
+    decay_time,
     expand_model_moves,
     load_trie,
     optimal_prefix,
@@ -22,6 +23,7 @@ from trie_align import (
     serialize_trie,
     validate,
 )
+from trie_align.cli import simulate_stream
 
 ALPHA = "abcdef"
 
@@ -209,6 +211,58 @@ def test_engine_invariants_on_random_streams(proxy, trace, decay_mode):
         nodes = [s.node for s in result.new_states]
         assert len(nodes) == len(set(nodes))
         assert all(not s.suffix for s in result.new_states)
+
+
+BEST_STATE_POLICIES = {
+    "fixed1": DecayPolicy.fixed(1),
+    "fixed3": DecayPolicy.fixed(3),
+    "discounted": DecayPolicy.discounted(0.3, 3),
+    "discounted-long": DecayPolicy.discounted(0.6, 2),
+}
+
+
+def assert_best_state_is_cheapest_new_state(engine, stream):
+    """After every event, the case's best state is the cheapest new state.
+
+    The states with an empty suffix after ``process`` are exactly the new
+    ones (survivors just buffered the event), so reading the best state
+    gives the alignment that event produced.
+    """
+    for case, label in stream:
+        result = engine.process(case, label)
+        cheapest = min(result.new_states, key=lambda s: (s.cost, s.moves_len, s.node))
+        assert engine.best_state(case) is cheapest
+        assert [s for s in engine.states(case) if not s.suffix] == list(result.new_states)
+
+
+@given(
+    proxy_logs,
+    st.lists(st.tuples(st.sampled_from("123"), st.sampled_from(ALPHA + "xy")), max_size=30),
+    st.sampled_from(sorted(BEST_STATE_POLICIES)),
+)
+@settings(max_examples=150, deadline=None)
+def test_best_state_is_cheapest_new_state_on_random_streams(proxy, stream, policy):
+    engine = Engine(EngineConfig(trie=build_trie(proxy), decay=BEST_STATE_POLICIES[policy]))
+    assert_best_state_is_cheapest_new_state(engine, stream)
+
+
+def test_best_state_is_cheapest_new_state_on_seeded_noisy_streams(workflow_trie):
+    for seed, policy in enumerate(BEST_STATE_POLICIES.values()):
+        engine = Engine(EngineConfig(trie=workflow_trie, decay=policy))
+        frames = simulate_stream(
+            workflow_trie, noise_level=0.3, seed=seed, max_events=3000, duration=None
+        )
+        assert_best_state_is_cheapest_new_state(
+            engine, ((f.case_id, f.activity) for f in frames)
+        )
+
+
+def test_fixed_policy_is_discounted_with_zero_factor():
+    for n in range(1, 8):
+        policy = DecayPolicy.fixed(n)
+        assert policy == DecayPolicy(df=0, min_dt=n)
+        for avg_leaf_depth in (0, 3.5, 25.3):
+            assert {decay_time(avg_leaf_depth, i, policy) for i in range(60)} == {n}
 
 
 @given(proxy_logs, observed_trace)
