@@ -63,21 +63,13 @@ def _load_trie_file(path: str) -> Trie:
 
 
 def _decay_policy(args: argparse.Namespace) -> DecayPolicy:
-    choice = args.decay
-    if choice == "discounted":
-        return DecayPolicy.discounted(df=args.df, min_dt=args.min_dt)
-    if choice.startswith("fixed:"):
-        return DecayPolicy.fixed(int(choice.split(":", 1)[1]))
-    raise ValueError(f"--decay must be 'fixed:N' or 'discounted', got {choice!r}")
+    return DecayPolicy(df=args.df, min_dt=args.min_dt)
 
 
 def _add_decay_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--decay",
-        default="discounted",
-        help="fixed:N (df 0, min_dt N) or discounted (default, uses --df and --min-dt)",
+        "--df", type=float, default=0.3, help="discounting factor (default 0.3; 0 is fixed decay)"
     )
-    parser.add_argument("--df", type=float, default=0.3, help="discounting factor (default 0.3)")
     parser.add_argument("--min-dt", type=int, default=3, help="minimum decay time (default 3)")
 
 
@@ -242,23 +234,20 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
     table = trie.alphabet
     compute = oracle_mod.optimal_prefix if args.mode == "prefix" else oracle_mod.optimal_complete
-    engine = Engine(EngineConfig(trie=trie)) if args.compare else None
+    engine_rows = None
+    if args.compare:
+        engine_rows, _ = _check_traces(Engine(EngineConfig(trie=trie)), traces, False, None)
 
     per_trace = []
     exact_matches = 0
     total_opt = 0
     total_engine = 0
-    for trace in traces:
+    for index, trace in enumerate(traces):
         codes = [table.intern(a) for a in trace.activities]
         result = compute(codes, trie)
         row = {"case_id": trace.case_id, "optimal_cost": result.cost}
-        if engine is not None:
-            for ev in trace.events:
-                engine.process(trace.case_id, ev.activity, ev.timestamp)
-            best = engine.best_state(trace.case_id)
-            engine_cost = best.cost
-            if args.mode == "complete":
-                engine_cost += trie.min_to_end[best.node]
+        if engine_rows is not None:
+            engine_cost = engine_rows[index][f"{args.mode}_cost"]
             row["engine_cost"] = engine_cost
             row["error"] = engine_cost - result.cost
             total_opt += result.cost
@@ -273,7 +262,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         + (f" engine={r['engine_cost']} error={r['error']}" if "engine_cost" in r else "")
         for r in per_trace
     ]
-    if engine is not None:
+    if engine_rows is not None:
         ratio = (total_engine / total_opt) if total_opt else None
         aggregate = {
             "traces": len(per_trace),
@@ -342,7 +331,7 @@ def simulate_stream(
     active: list[tuple[str, list[str], int]] = []  # case id, activities, position
     case_counter = 0
     emitted = 0
-    deadline = time.monotonic() + duration if duration else None
+    deadline = time.monotonic() + duration if duration is not None else None
 
     while True:
         if max_events is not None and emitted >= max_events:
@@ -364,6 +353,11 @@ def simulate_stream(
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
+        if args.duration is not None and not args.duration > 0:
+            raise ValueError("--duration must be a positive number of seconds")
+        if args.cases_in_flight < 1:
+            raise ValueError("--cases-in-flight must be at least 1")
+        NoiseConfig(level=args.noise)  # the stream checks it only at its first frame
         trie = _load_trie_file(args.trie)
         policy = _decay_policy(args)
         address = _parse_addr(args.connect) if args.connect else None
@@ -425,6 +419,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if args.repeat < 1:
+        return _fail("--repeat must be at least 1", EXIT_INPUT)
     try:
         trie = _load_trie_file(args.trie)
         traces = parse_event_log(_read_text(args.log))
@@ -456,7 +452,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     _, p50, p95, peak = latency_summary(pooled)
     report = {
         "runs": args.repeat,
-        "events_per_run": len(pooled) // args.repeat if args.repeat else 0,
+        "events_per_run": len(pooled) // args.repeat,
         "p50_micros": round(p50, 3),
         "p95_micros": round(p95, 3),
         "max_micros": round(peak, 3),

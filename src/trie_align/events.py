@@ -3,8 +3,9 @@
 Two file formats are understood:
 
 * Event logs: CSV with header ``case,activity,timestamp`` (the timestamp
-  column is optional). Rows are kept in file order; ordering is always
-  arrival order, never timestamp order.
+  column is optional). Rows are kept in file order. The engine never
+  reads timestamps; only a by-timestamp replay orders events by them,
+  ties in file order.
 * Proxy logs: plain text, one comma-separated activity sequence per line.
   A proxy log is a finite sample of the behavior a process model allows
   and is the input for trie construction.
@@ -41,8 +42,9 @@ class Event:
     Attributes:
         case_id: opaque case identifier (the stream key).
         activity: non-empty activity label.
-        timestamp: optional ISO-8601 instant, carried verbatim. Timestamps
-            are never used for sequencing; events are ordered by arrival.
+        timestamp: optional ISO-8601 instant, carried verbatim. The engine
+            never reads it; only a by-timestamp replay orders events by
+            it, ties in file order.
         arrival_seq: 0-based arrival index within the event's case.
         stream_seq: optional global arrival index across the whole parsed
             input, used to keep timestamp sorts stable with respect to

@@ -13,9 +13,10 @@ bytes included) are counted, logged, and skipped; they never take the
 engine down.
 
 Replay can drive an in-process engine or a remote TCP endpoint, in
-round-robin or timestamp order, throttled or flat out. The latency
-metrics only ever count engine processing time; waiting for the throttle
-or the socket is reported as idle time.
+round-robin or timestamp order, throttled or flat out. Every report of an
+engine run, replay and server alike, comes from one meter,
+:class:`EngineSink`: its latencies only ever count engine processing
+time; waiting for the throttle or the socket is reported as idle time.
 """
 
 from __future__ import annotations
@@ -264,16 +265,31 @@ def interleave_by_timestamp(traces: Iterable[Trace]) -> list[StreamFrame]:
 
 
 class EngineSink:
-    """Feeds frames straight into an in-process engine, collecting latency."""
+    """Feeds frames straight into an in-process engine; :meth:`report` is the one meter."""
 
     def __init__(self, engine: Engine) -> None:
         self.engine = engine
         self.latencies: list[float] = []
 
-    def send(self, frame: StreamFrame) -> float:
+    def send(self, frame: StreamFrame) -> None:
         result = self.engine.process(frame.case_id, frame.activity, frame.timestamp)
         self.latencies.append(result.processing_micros)
-        return result.processing_micros
+
+    def report(self, wall: float, idle: float = 0.0) -> RunMetrics:
+        """The run so far, over ``wall`` micros; time not spent processing counts as idle."""
+        computation = sum(self.latencies)
+        mean, p50, _, peak = latency_summary(self.latencies)
+        return RunMetrics(
+            events_processed=len(self.latencies),
+            computation_micros=computation,
+            idle_micros=max(idle, wall - computation),
+            wall_micros=wall,
+            mean_event_micros=mean,
+            p50_event_micros=p50,
+            max_event_micros=peak,
+            max_buffer_states=self.engine.peak_total_states,
+            max_resident_cases=len(self.engine.case_ids()),
+        )
 
 
 class TcpSink:
@@ -354,12 +370,11 @@ def drive(frames: Iterable[StreamFrame], sink, rate: float | None = None) -> Run
     """Send every frame to ``sink`` in order and measure the run.
 
     ``rate`` throttles to events per second (sleep time counts as idle);
-    None streams flat out. When the sink is an :class:`EngineSink` the
-    per-event computation time and buffer peaks are filled in from the
-    engine; a TCP sink only yields client-side counters.
+    None streams flat out. An :class:`EngineSink` reports the run through
+    :meth:`EngineSink.report`; any other sink, a TCP sink say, only yields
+    the client-side count, idle and wall time.
     """
     count = 0
-    computation = 0.0
     idle = 0.0
     period = 1.0 / rate if rate else 0.0
     start = time.perf_counter()
@@ -371,24 +386,12 @@ def drive(frames: Iterable[StreamFrame], sink, rate: float | None = None) -> Run
                 time.sleep(next_due - now)
                 idle += (time.perf_counter() - now) * 1e6
             next_due += period
-        micros = sink.send(frame)
-        if micros is not None:
-            computation += micros
+        sink.send(frame)
         count += 1
     wall = (time.perf_counter() - start) * 1e6
-
-    metrics = RunMetrics(
-        events_processed=count, computation_micros=computation, idle_micros=idle, wall_micros=wall
-    )
     if isinstance(sink, EngineSink):
-        mean, p50, _, peak = latency_summary(sink.latencies)
-        metrics.mean_event_micros = mean
-        metrics.p50_event_micros = p50
-        metrics.max_event_micros = peak
-        metrics.max_buffer_states = sink.engine.peak_total_states
-        metrics.max_resident_cases = len(sink.engine.case_ids())
-        metrics.idle_micros = max(idle, wall - computation)
-    return metrics
+        return sink.report(wall, idle)
+    return RunMetrics(events_processed=count, idle_micros=idle, wall_micros=wall)
 
 
 # -- server ----------------------------------------------------------------
@@ -405,15 +408,16 @@ class StreamServer:
     """TCP ingestion front end for one engine.
 
     One thread runs a selector loop that owns the listening socket, every
-    connection and the engine. Each ready connection yields one bounded
-    read; its complete lines are decoded and processed at once, in the
-    order read, and a command is answered inline, so its answer counts
-    every frame read before it. A partial line waits in the connection's
-    buffer. While the engine is busy nothing is read, so TCP flow control
-    holds the clients back. Start with :meth:`start`,
-    stop with :meth:`stop` or a ``shutdown`` control frame; call
-    :meth:`metrics` directly only once stopped, and send a ``metrics``
-    frame while running.
+    connection and the engine, which it feeds through one
+    :class:`EngineSink`, the one meter: the metrics and shutdown answers
+    are that sink's report. Each ready connection yields one bounded read;
+    its complete lines are decoded and processed at once, in the order
+    read, and a command is answered inline, so its answer counts every
+    frame read before it. A partial line waits in the connection's buffer.
+    While the engine is busy nothing is read, so TCP flow control holds
+    the clients back. Start with :meth:`start`, stop with :meth:`stop` or
+    a ``shutdown`` control frame; call :meth:`metrics` directly only once
+    stopped, and send a ``metrics`` frame while running.
     """
 
     def __init__(self, engine: Engine, host: str = "127.0.0.1", port: int = 0) -> None:
@@ -424,10 +428,8 @@ class StreamServer:
         self._thread: threading.Thread | None = None
         # stop() writes a byte to the second socket to wake the loop.
         self._wake: tuple[socket.socket, socket.socket] | None = None
-        self.frames_processed = 0
+        self._sink = EngineSink(engine)
         self.frames_malformed = 0
-        self._computation_micros = 0.0
-        self._latencies: list[float] = []
         self._started_at = 0.0
 
     # -- lifecycle
@@ -480,21 +482,10 @@ class StreamServer:
         return report
 
     def metrics(self) -> dict:
-        """Current ingestion metrics plus engine buffer occupancy."""
+        """The engine sink's report since :meth:`start`, plus the malformed-frame count."""
         wall = (time.perf_counter() - self._started_at) * 1e6 if self._started_at else 0.0
-        mean, p50, _, peak = latency_summary(self._latencies)
-        metrics = RunMetrics(
-            events_processed=self.frames_processed,
-            computation_micros=self._computation_micros,
-            idle_micros=max(0.0, wall - self._computation_micros),
-            wall_micros=wall,
-            mean_event_micros=mean,
-            p50_event_micros=p50,
-            max_event_micros=peak,
-            max_buffer_states=self.engine.peak_total_states,
-            max_resident_cases=self.engine.buffer_stats().cases,
-            frames_malformed=self.frames_malformed,
-        )
+        metrics = self._sink.report(wall)
+        metrics.frames_malformed = self.frames_malformed
         return metrics.to_dict()
 
     # -- internals
@@ -563,14 +554,10 @@ class StreamServer:
             return True
         if isinstance(frame, StreamFrame):
             try:
-                result = self.engine.process(frame.case_id, frame.activity, frame.timestamp)
+                self._sink.send(frame)
             except Exception:  # defensive: a bad frame must never kill the engine
                 logger.exception("engine rejected frame %r", frame)
                 self.frames_malformed += 1
-                return True
-            self.frames_processed += 1
-            self._computation_micros += result.processing_micros
-            self._latencies.append(result.processing_micros)
         elif frame in ("metrics", "shutdown"):
             try:
                 conn.sendall((json.dumps(self.metrics()) + "\n").encode("utf-8"))

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import argparse
 import json
+import re
 import shlex
 import socket
 import threading
@@ -46,6 +48,20 @@ def test_readme_cli_lines_parse():
     parser = build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])
+    # Every backticked flag in the prose must be accepted by at least one
+    # subcommand, so a deleted flag cannot live on in the text either.
+    prose = re.sub(r"```.*?```", "", readme.read_text(), flags=re.S)
+    spans = " ".join(re.findall(r"`([^`]+)`", prose))
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", spans))
+    assert len(flags) >= 8
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {
+        option
+        for sub in subcommands.choices.values()
+        for action in sub._actions
+        for option in action.option_strings
+    }
+    assert flags <= accepted, sorted(flags - accepted)
 
 
 class TestBuildTrie:
@@ -115,8 +131,10 @@ class TestCheck:
                 str(trie_file),
                 "--log",
                 str(log),
-                "--decay",
-                "fixed:2",
+                "--df",
+                "0",
+                "--min-dt",
+                "2",
                 "--json",
             ],
         )
@@ -130,10 +148,10 @@ class TestCheck:
             rows += [f"t{i},{a}\n" for a in line.split(",")]
         log = tmp_path / "conforming.csv"
         log.write_text("".join(rows))
-        for decay in ("fixed:2", "discounted"):
+        for decay in (["--df", "0", "--min-dt", "2"], []):
             report = run_json(
                 capsys,
-                ["check", "--trie", str(trie_file), "--log", str(log), "--decay", decay, "--json"],
+                ["check", "--trie", str(trie_file), "--log", str(log), *decay, "--json"],
             )
             assert all(r["prefix_cost"] == 0 for r in report["per_trace"])
             assert all(r["complete_cost"] == 0 for r in report["per_trace"])
@@ -150,8 +168,10 @@ class TestCheck:
                 str(trie_file),
                 "--log",
                 str(log),
-                "--decay",
-                "fixed:2",
+                "--df",
+                "0",
+                "--min-dt",
+                "2",
                 "--per-event",
                 "--json",
             ],
@@ -177,8 +197,10 @@ class TestCheck:
                     str(trie_file),
                     "--log",
                     str(log),
-                    "--decay",
-                    "fixed:2",
+                    "--df",
+                    "0",
+                    "--min-dt",
+                    "2",
                     "--records",
                     str(records),
                     "--json",
@@ -225,7 +247,7 @@ class TestCheck:
     def test_bad_decay_exits_2(self, trie_file, tmp_path):
         log = tmp_path / "log.csv"
         log.write_text(CHECK_LOG)
-        bad = ["--decay", "sideways"], ["--decay", "fixed:0"], ["--df", "-1"], ["--df", "nan"]
+        bad = ["--min-dt", "0"], ["--df", "-1"], ["--df", "nan"]
         for flags in bad:
             code = main(["check", "--trie", str(trie_file), "--log", str(log), *flags])
             assert code == 2
@@ -256,6 +278,23 @@ class TestOracle:
         for row in report["per_trace"]:
             assert row["error"] >= 0
         assert report["aggregate"]["exact_matches"] >= 1
+
+    @pytest.mark.parametrize(
+        "mode, engine_costs, errors",
+        [("prefix", [1, 1, 5], [0, 0, 0]), ("complete", [2, 1, 7], [0, 0, 2])],
+    )
+    def test_compare_pins_engine_costs(
+        self, trie_file, tmp_path, capsys, mode, engine_costs, errors
+    ):
+        log = tmp_path / "log.csv"
+        # c2 and c3 carry activities the model lacks (x, z); c3 also starts out of order.
+        log.write_text(
+            CHECK_LOG + "c2,a\nc2,x\nc2,c\nc2,b\nc2,e\n" + "c3,b\nc3,a\nc3,z\nc3,d\nc3,e\nc3,e\n"
+        )
+        argv = ["oracle", "--trie", str(trie_file), "--log", str(log), "--mode", mode]
+        report = run_json(capsys, [*argv, "--compare", "--json"])
+        assert [r["engine_cost"] for r in report["per_trace"]] == engine_costs
+        assert [r["error"] for r in report["per_trace"]] == errors
 
     def test_conforming_corpus_ratio(self, trie_file, tmp_path, capsys):
         rows = [CONFORMING_LOG_HEADER, "t0,a\n", "t0,b\n", "t0,e\n"]
@@ -401,6 +440,22 @@ class TestSimulate:
         )
         assert report["events_processed"] > 0
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--duration", "0"],
+            ["--duration", "nan"],
+            ["--cases-in-flight", "0"],
+            ["--noise", "1.5"],
+            ["--noise", "-0.1"],
+            ["--noise", "1.5", "--connect", "127.0.0.1:9"],
+        ],
+    )
+    def test_bad_simulate_input_exits_2(self, trie_file, capsys, flags):
+        code = main(["simulate", "--trie", str(trie_file), "--max-events", "5", *flags])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_serve_bind_failure_exits_3(self, trie_file):
         with socket.socket() as taken:
             taken.bind(("127.0.0.1", 0))
@@ -512,8 +567,10 @@ class TestBench:
                 str(log),
                 "--repeat",
                 "1",
-                "--decay",
-                "fixed:2",
+                "--df",
+                "0",
+                "--min-dt",
+                "2",
                 "--json",
             ],
         )
@@ -533,6 +590,15 @@ class TestBench:
         assert report["events_per_run"] == 4
 
 
+    @pytest.mark.parametrize("repeat", ["0", "-2"])
+    def test_repeat_below_one_exits_2(self, trie_file, tmp_path, capsys, repeat):
+        log = tmp_path / "log.csv"
+        log.write_text(CHECK_LOG)
+        code = main(["bench", "--trie", str(trie_file), "--log", str(log), "--repeat", repeat])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestCheckSimulateConsistency:
     def test_identical_event_orders_produce_identical_costs(self, trie_file, tmp_path, capsys):
         # The same global event order fed via check and via an in-process
@@ -544,7 +610,18 @@ class TestCheckSimulateConsistency:
         log.write_text(CHECK_LOG + "c2,a\nc2,c\nc2,b\nc2,e\n")
         report = run_json(
             capsys,
-            ["check", "--trie", str(trie_file), "--log", str(log), "--decay", "fixed:2", "--json"],
+            [
+                "check",
+                "--trie",
+                str(trie_file),
+                "--log",
+                str(log),
+                "--df",
+                "0",
+                "--min-dt",
+                "2",
+                "--json",
+            ],
         )
         engine = Engine(EngineConfig(trie=trie, decay=DecayPolicy.fixed(2)))
         from trie_align import parse_event_log

@@ -255,6 +255,31 @@ class TestStreamServer:
         assert metrics["events_processed"] == 2
         assert running_server.engine.conformance_cost("c1") == 0
 
+    def test_server_and_drive_report_through_one_meter(self, workflow_trie):
+        # The same noisy frames, replayed in process and served over TCP.
+        noiser = Noiser(NoiseConfig(level=0.2, seed=4), "abcde")
+        traces = parse_event_log(
+            "case,activity\n"
+            + "".join(f"c{i},{a}\n" for i in range(40) for a in noiser.apply(list("abdbce")))
+        )
+        frames = interleave_round_robin(traces)
+        policy = DecayPolicy.discounted()
+        sink = EngineSink(Engine(EngineConfig(trie=workflow_trie, decay=policy)))
+        replayed = stream_mod.drive(frames, sink)
+        assert replayed.computation_micros == sum(sink.latencies)
+
+        server = StreamServer(Engine(EngineConfig(trie=workflow_trie, decay=policy)), port=0)
+        server.start()
+        try:
+            lines = [frame.to_json_line() for frame in frames] + ['{"cmd":"metrics"}']
+            send_lines(server.address, lines)
+        finally:
+            served = server.stop()
+        for key in ("events_processed", "max_buffer_states", "max_resident_cases"):
+            assert served[key] == getattr(replayed, key)
+        assert served["events_processed"] == len(frames) > 150
+        assert served["computation_micros"] == round(sum(server._sink.latencies), 1)
+
     def test_each_line_is_decoded_once(self, running_server, monkeypatch):
         decodes = []
 
