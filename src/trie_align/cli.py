@@ -22,7 +22,7 @@ from pathlib import Path
 from . import oracle as oracle_mod
 from .alignment import alignment_pairs
 from .engine import DecayPolicy, Engine, EngineConfig
-from .events import ParseError, parse_event_log, parse_proxy_log
+from .events import ActivityTable, ParseError, parse_event_log, parse_proxy_log
 from .stream import (
     EngineSink,
     NoiseConfig,
@@ -132,22 +132,29 @@ def _check_traces(engine: Engine, traces, per_event: bool, records) -> tuple[lis
     record carrying the case's best prefix alignment after that event.
     """
     trie = engine.trie
-    label = trie.alphabet.label
+    label = engine.alphabet.label
     per_trace = []
     total_micros = 0.0
     for trace in traces:
         events_micros = 0.0
         per_event_costs = []
-        for ev in trace.events:
+        for seq, ev in enumerate(trace.events, 1):
             result = engine.process(trace.case_id, ev.activity, ev.timestamp)
             events_micros += result.processing_micros
             if per_event:
                 per_event_costs.append(result.best_cost)
             if records is not None:
-                record = result.to_record(label)
-                record["alignment"] = alignment_pairs(
-                    engine.best_state(trace.case_id).alignment(), label
-                )
+                record = {
+                    "case_id": trace.case_id,
+                    "event_seq": seq,
+                    "activity": ev.activity,
+                    "best_cost": result.best_cost,
+                    "states_in_case": len(engine.states(trace.case_id)),
+                    "processing_micros": round(result.processing_micros, 3),
+                    "alignment": alignment_pairs(
+                        engine.best_state(trace.case_id).alignment(), label
+                    ),
+                }
                 records.write(json.dumps(record) + "\n")
         best = engine.best_state(trace.case_id)
         row = {
@@ -232,7 +239,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                 EXIT_INPUT,
             )
 
-    table = trie.alphabet
+    table = ActivityTable(trie.alphabet.labels())  # stream-only labels stay out of the trie
     compute = oracle_mod.optimal_prefix if args.mode == "prefix" else oracle_mod.optimal_complete
     engine_rows = None
     if args.compare:
@@ -357,6 +364,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise ValueError("--duration must be a positive number of seconds")
         if args.cases_in_flight < 1:
             raise ValueError("--cases-in-flight must be at least 1")
+        if args.rate is not None and not args.rate > 0:
+            raise ValueError("--rate must be a positive number of events per second")
+        if args.max_events is not None and args.max_events < 1:
+            raise ValueError("--max-events must be at least 1")
         NoiseConfig(level=args.noise)  # the stream checks it only at its first frame
         trie = _load_trie_file(args.trie)
         policy = _decay_policy(args)

@@ -26,11 +26,14 @@ Three facts keep the buffer small: decay eviction bounds how many events
 a state survives, the cheapest-only admission keeps one cost frontier per
 case, and the admission cap stops lineages from multiplying on
 heavily deviating streams. Together they bound a case's stored states by
-``(max_branching + 1)`` times the largest decay it was ever issued.
+``(max_branching + 1)`` times the largest decay it was ever issued. That
+largest decay is its root's: :func:`decay_time` never grows with the
+event index, so no later state outlives the root's allowance.
 
 An engine instance is single-writer: calls into :meth:`Engine.process`
 must be serialized. Scale out by partitioning the case-id space across
-engines sharing one immutable trie.
+engines sharing one immutable trie; each engine interns stream-only
+activity labels into its own table, never into the trie's.
 """
 
 from __future__ import annotations
@@ -38,9 +41,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .alignment import Alignment, Move
+from .events import ActivityTable
 from .trie import ROOT, Trie
 
 #: Admission sentinel, larger than any reachable alignment cost.
@@ -84,7 +88,8 @@ def decay_time(avg_leaf_depth: float, i: int, policy: DecayPolicy) -> int:
 
     Scales the remaining expected trace length by the discounting factor,
     rounded to the nearest integer and floored at ``min_dt``; the floor
-    also covers cases older than the average leaf depth.
+    also covers cases older than the average leaf depth. Never increases
+    with ``i``, so ``i == 0`` (a case's root) gives the largest value.
     """
     return max(round((avg_leaf_depth - i) * policy.df), policy.min_dt)
 
@@ -173,7 +178,7 @@ class BufferStats:
 
 @dataclass(frozen=True)
 class CaseStats:
-    """Per-case diagnostics for buffer-bound auditing."""
+    """Per-case diagnostics for buffer-bound auditing; ``max_decay_issued`` is the root's."""
 
     events_seen: int
     states: int
@@ -181,40 +186,29 @@ class CaseStats:
     max_decay_issued: int
 
 
-@dataclass(frozen=True)
-class ProcessResult:
-    """Outcome of one processed event."""
+class ProcessResult(NamedTuple):
+    """Outcome of one processed event.
 
-    case_id: str
-    event_index: int
-    activity: int
+    ``sync`` tells whether a synchronous move consumed the event,
+    ``new_states`` holds the states the event created, ``best_cost`` is
+    the cheapest of their costs and ``processing_micros`` the time the
+    call took.
+    """
+
     sync: bool
     new_states: tuple[State, ...]
     best_cost: int
-    states_in_case: int
     processing_micros: float
-
-    def to_record(self, label_of) -> dict:
-        """JSON-friendly per-event record for downstream sinks."""
-        return {
-            "case_id": self.case_id,
-            "event_seq": self.event_index,
-            "activity": label_of(self.activity),
-            "best_cost": self.best_cost,
-            "states_in_case": self.states_in_case,
-            "processing_micros": round(self.processing_micros, 3),
-        }
 
 
 class _CaseEntry:
-    __slots__ = ("states", "events_seen", "next_state_id", "peak_states", "max_decay_issued")
+    __slots__ = ("states", "events_seen", "next_state_id", "peak_states")
 
     def __init__(self) -> None:
         self.states: list[State] = []
         self.events_seen = 0
         self.next_state_id = 0
         self.peak_states = 0
-        self.max_decay_issued = 0
 
 
 def expand_model_moves(trie: Trie, state: State, code: int, decay: int) -> list[State]:
@@ -309,9 +303,12 @@ class Engine:
 
     def __init__(self, config: EngineConfig) -> None:
         self.trie = config.trie
+        self.alphabet = ActivityTable(config.trie.alphabet.labels())
         self.policy = config.decay
         self._avg = config.trie.avg_leaf_depth
         self._cap = config.trie.max_branching + 1
+        # Every case's largest issued decay (see decay_time).
+        self._root_decay = decay_time(self._avg, 0, self.policy)
         self._buffer: dict[str, _CaseEntry] = {}
         self._total_states = 0
         self.peak_total_states = 0
@@ -322,13 +319,12 @@ class Engine:
     def process(self, case_id: str, activity: str | int, timestamp: str | None = None) -> ProcessResult:
         """Consume one event for ``case_id`` and update its survivor set.
 
-        ``activity`` may be a label (interned on the fly, so activities
-        outside the trie's alphabet are fine and simply never match) or an
-        already-interned code. Returns the per-event result with the newly
-        created states and the best cost among them.
+        ``activity`` may be a label or an already-interned code. Labels are
+        interned into the engine's own :attr:`alphabet`, a copy of the
+        trie's, so an unseen label never touches the trie and its fresh
+        code simply never matches. Returns the per-event result.
         """
-        table = self.trie.alphabet
-        code = table.intern(activity) if isinstance(activity, str) else activity
+        code = self.alphabet.intern(activity) if isinstance(activity, str) else activity
 
         started = time.perf_counter_ns()
         entry = self._buffer.get(case_id)
@@ -336,18 +332,14 @@ class Engine:
         if entry is None:
             entry = _CaseEntry()
             self._buffer[case_id] = entry
-            root_decay = decay_time(self._avg, 0, self.policy)
-            fresh_root = State(0, ROOT, [], 0, root_decay)
+            fresh_root = State(0, ROOT, [], 0, self._root_decay)
             entry.states.append(fresh_root)
             entry.next_state_id = 1
-            entry.max_decay_issued = root_decay
             self._total_states += 1
             self.states_created += 1
 
         entry.events_seen += 1
         fresh_decay = decay_time(self._avg, entry.events_seen, self.policy)
-        if fresh_decay > entry.max_decay_issued:
-            entry.max_decay_issued = fresh_decay
 
         # Age: decrement first, evict below one. The state created by this
         # call (a brand-new case's root) is exempt.
@@ -433,10 +425,10 @@ class Engine:
 
         # Admission cap, on both steps: ties must not multiply lineages
         # past the branching budget, or past what keeps the case under
-        # (max_branching + 1) x its largest issued decay overall. The
-        # cheapest successors survive, so the best cost is unchanged.
+        # (max_branching + 1) x its root decay overall. The cheapest
+        # successors survive, so the best cost is unchanged.
         cap = self._cap
-        limit = min(cap, cap * entry.max_decay_issued - len(survivors))
+        limit = min(cap, cap * self._root_decay - len(survivors))
         if len(new_states) > limit:
             new_states.sort(key=lambda s: (s.cost, s.moves_len))  # stable: keeps generation order
             del new_states[limit:]
@@ -461,16 +453,7 @@ class Engine:
         best_cost = min(s.cost for s in new_states)
         elapsed_micros = (time.perf_counter_ns() - started) / 1000.0
 
-        return ProcessResult(
-            case_id=case_id,
-            event_index=entry.events_seen,
-            activity=code,
-            sync=synced,
-            new_states=tuple(new_states),
-            best_cost=best_cost,
-            states_in_case=len(survivors),
-            processing_micros=elapsed_micros,
-        )
+        return ProcessResult(synced, tuple(new_states), best_cost, elapsed_micros)
 
     # -- queries -----------------------------------------------------------
 
@@ -509,7 +492,7 @@ class Engine:
             events_seen=entry.events_seen,
             states=len(entry.states),
             peak_states=entry.peak_states,
-            max_decay_issued=entry.max_decay_issued,
+            max_decay_issued=self._root_decay,
         )
 
     def buffer_stats(self) -> BufferStats:

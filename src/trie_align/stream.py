@@ -323,14 +323,6 @@ class TcpSink:
             raise ConnectionError("server closed the connection before answering")
         return json.loads(line)
 
-    def shutdown_server(self) -> dict:
-        self._file.write('{"cmd":"shutdown"}\n')
-        self._file.flush()
-        line = self._file.readline()
-        answer = json.loads(line) if line else {}
-        self.close()
-        return answer
-
     def close(self) -> None:
         """Flush and close the connection.
 
@@ -370,10 +362,13 @@ def drive(frames: Iterable[StreamFrame], sink, rate: float | None = None) -> Run
     """Send every frame to ``sink`` in order and measure the run.
 
     ``rate`` throttles to events per second (sleep time counts as idle);
-    None streams flat out. An :class:`EngineSink` reports the run through
+    None streams flat out, and a rate that is not positive raises
+    ``ValueError``. An :class:`EngineSink` reports the run through
     :meth:`EngineSink.report`; any other sink, a TCP sink say, only yields
     the client-side count, idle and wall time.
     """
+    if rate is not None and not rate > 0:
+        raise ValueError(f"rate must be a positive number of events per second, not {rate!r}")
     count = 0
     idle = 0.0
     period = 1.0 / rate if rate else 0.0

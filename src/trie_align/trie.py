@@ -266,19 +266,18 @@ class Trie:
         )
 
 
-def build_trie(proxy: ProxyLog, alphabet: ActivityTable | None = None) -> Trie:
+def build_trie(proxy: ProxyLog) -> Trie:
     """Construct the prefix trie for a proxy log.
 
     One node per distinct prefix; the terminal node of every proxy trace is
-    flagged as an end node. Labels are interned into ``alphabet`` (a fresh
-    table by default).
+    flagged as an end node. Labels are interned into a fresh table.
 
     Raises:
         TrieError: if the proxy log holds no traces.
     """
     if len(proxy) == 0:
         raise TrieError("cannot build a trie from an empty proxy log")
-    table = alphabet if alphabet is not None else ActivityTable()
+    table = ActivityTable()
 
     labels = [ROOT_LABEL]
     parents = [-1]

@@ -50,7 +50,7 @@ def workflow_proxy() -> ProxyLog:
 
 @pytest.fixture
 def workflow_trie(workflow_proxy):
-    # Function-scoped: engines intern unseen labels into the trie's alphabet.
+    # Function-scoped: some tests intern stream-only labels into its alphabet.
     return build_trie(workflow_proxy)
 
 

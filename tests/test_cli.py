@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+import trie_align.cli as cli_mod
+from trie_align import serialize_trie
 from trie_align.cli import build_parser, main
 
 from .conftest import WORKFLOW_PROXY_TEXT
@@ -62,6 +64,16 @@ def test_readme_cli_lines_parse():
         for option in action.option_strings
     }
     assert flags <= accepted, sorted(flags - accepted)
+
+
+def test_readme_python_example_runs(tmp_path, monkeypatch, capsys):
+    # The library example runs as written, so the documented surface cannot drift.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    (example,) = re.findall(r"```python\n(.*?)```", readme.read_text(), flags=re.S)
+    (tmp_path / "proxy.txt").write_text(WORKFLOW_PROXY_TEXT)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(example, "README.md", "exec"), {})
+    assert "trace | a b x\nmodel | a b >>" in capsys.readouterr().out
 
 
 class TestBuildTrie:
@@ -215,6 +227,8 @@ class TestCheck:
         assert first["event_seq"] == 1
         assert first["activity"] == "a"
         assert first["best_cost"] == 0
+        assert first["states_in_case"] == 2
+        assert first["processing_micros"] >= 0
         assert list(first) == [
             "case_id",
             "event_seq",
@@ -233,6 +247,16 @@ class TestCheck:
             {"log": "b", "model": None},
             {"log": "c", "model": "c"},
         ]
+
+    def test_records_render_stream_only_labels(self, trie_file, tmp_path):
+        log = tmp_path / "log.csv"
+        log.write_text("case,activity\nc1,x\n")
+        records = tmp_path / "records.jsonl"
+        argv = ["check", "--trie", str(trie_file), "--log", str(log), "--records", str(records)]
+        assert main(argv) == 0
+        (record,) = [json.loads(ln) for ln in records.read_text().splitlines()]
+        assert record["activity"] == "x"
+        assert record["alignment"] == [{"log": "x", "model": None}]
 
     def test_unwritable_records_exits_2(self, trie_file, tmp_path, capsys):
         log = tmp_path / "log.csv"
@@ -284,8 +308,16 @@ class TestOracle:
         [("prefix", [1, 1, 5], [0, 0, 0]), ("complete", [2, 1, 7], [0, 0, 2])],
     )
     def test_compare_pins_engine_costs(
-        self, trie_file, tmp_path, capsys, mode, engine_costs, errors
+        self, trie_file, tmp_path, capsys, monkeypatch, mode, engine_costs, errors
     ):
+        load_trie_file = cli_mod._load_trie_file
+        loaded = []
+
+        def load_and_keep(path):
+            loaded.append(load_trie_file(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli_mod, "_load_trie_file", load_and_keep)
         log = tmp_path / "log.csv"
         # c2 and c3 carry activities the model lacks (x, z); c3 also starts out of order.
         log.write_text(
@@ -295,6 +327,9 @@ class TestOracle:
         report = run_json(capsys, [*argv, "--compare", "--json"])
         assert [r["engine_cost"] for r in report["per_trace"]] == engine_costs
         assert [r["error"] for r in report["per_trace"]] == errors
+        # Neither the oracle's coding nor the engine interned x or z into the trie.
+        (trie,) = loaded
+        assert serialize_trie(trie) == trie_file.read_bytes()
 
     def test_conforming_corpus_ratio(self, trie_file, tmp_path, capsys):
         rows = [CONFORMING_LOG_HEADER, "t0,a\n", "t0,b\n", "t0,e\n"]
@@ -449,6 +484,11 @@ class TestSimulate:
             ["--noise", "1.5"],
             ["--noise", "-0.1"],
             ["--noise", "1.5", "--connect", "127.0.0.1:9"],
+            ["--rate", "0"],
+            ["--rate", "-5"],
+            ["--rate", "nan"],
+            ["--max-events", "-4"],
+            ["--max-events", "0"],
         ],
     )
     def test_bad_simulate_input_exits_2(self, trie_file, capsys, flags):

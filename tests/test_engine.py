@@ -9,6 +9,7 @@ from trie_align import (
     UnknownCaseError,
     decay_time,
     expand_model_moves,
+    serialize_trie,
     sync_move,
 )
 from trie_align.engine import State
@@ -213,6 +214,15 @@ class TestQueries:
         engine.process("c1", "z")
         assert engine.conformance_cost("c1") == 1
 
+    def test_stream_only_labels_leave_the_trie_untouched(self, workflow_trie):
+        before = serialize_trie(workflow_trie)
+        engine = fixed_engine(workflow_trie)
+        for activity in ("x", "prüfen"):
+            engine.process("c1", activity)
+        assert serialize_trie(workflow_trie) == before
+        assert len(workflow_trie.alphabet) == 5
+        assert engine.alphabet.labels() == [*"abcde", "x", "prüfen"]
+
     def test_duplicate_b_costs_one(self, workflow_trie):
         engine = fixed_engine(workflow_trie)
         for activity in "abbc":
@@ -278,25 +288,6 @@ class TestDeterminismAndEmission:
                 }
             )
         assert runs[0] == runs[1]
-
-    def test_record_shape(self, workflow_trie):
-        engine = fixed_engine(workflow_trie)
-        result = engine.process("c1", "a")
-        record = result.to_record(workflow_trie.alphabet.label)
-        assert list(record) == [
-            "case_id",
-            "event_seq",
-            "activity",
-            "best_cost",
-            "states_in_case",
-            "processing_micros",
-        ]
-        assert record["case_id"] == "c1"
-        assert record["event_seq"] == 1
-        assert record["activity"] == "a"
-        assert record["best_cost"] == 0
-        assert record["states_in_case"] == 2
-        assert record["processing_micros"] >= 0
 
 
 class TestDiscountedDefaults:

@@ -152,6 +152,33 @@ def test_indexed_search_matches_the_level_walk(rng):
     ]
 
 
+@given(
+    st.floats(min_value=0, max_value=1e6),
+    st.integers(min_value=1, max_value=10**6),
+    st.floats(min_value=0, max_value=1e6),
+    st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=500, deadline=None)
+def test_decay_time_never_grows_with_the_event_index(df, min_dt, avg_leaf_depth, i):
+    # So a case's root decay is the largest it is ever issued, which the
+    # engine's admission cap and case_stats rely on.
+    policy = DecayPolicy(df=df, min_dt=min_dt)
+    assert decay_time(avg_leaf_depth, i + 1, policy) <= decay_time(avg_leaf_depth, i, policy)
+
+
+def test_no_state_outlives_its_root_decay_on_a_noisy_stream(workflow_trie):
+    policy = DecayPolicy.discounted(df=1.0, min_dt=1)  # decays 5, 4, 3, 2, 1 on this trie
+    root_decay = decay_time(workflow_trie.avg_leaf_depth, 0, policy)
+    engine = Engine(EngineConfig(trie=workflow_trie, decay=policy))
+    issued = set()
+    for frame in simulate_stream(workflow_trie, 0.3, seed=9, max_events=600, duration=None):
+        result = engine.process(frame.case_id, frame.activity)
+        issued.update(s.decay for s in result.new_states)
+    assert max(issued) < root_decay and len(issued) > 1
+    for case_id in engine.case_ids():
+        assert engine.case_stats(case_id).max_decay_issued == root_decay
+
+
 @given(proxy_logs, observed_trace, st.sampled_from(["fixed2", "fixed4", "discounted"]))
 # Both successors of the sync step on "b" would exceed the bound of 4.
 @example(proxy=ProxyLog((tuple("bab"),)), trace=["a", "b"], decay_mode="fixed2")

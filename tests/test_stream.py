@@ -28,6 +28,7 @@ from trie_align.stream import (
     EngineSink,
     FrameError,
     TcpSink,
+    drive,
     interleave_by_timestamp,
     interleave_round_robin,
     latency_summary,
@@ -154,6 +155,37 @@ class TestReplay:
         for case_id, activity in recorder.seen:
             per_case.setdefault(case_id, []).append(activity)
         assert per_case == {"1": ["a", "b", "c"], "2": ["a", "b"]}
+
+    def test_by_timestamp_replay_delivers_in_timestamp_order(self):
+        class TimestampRecorder:
+            def __init__(self):
+                self.seen = []
+
+            def send(self, frame):
+                assert not self.seen or self.seen[-1][2] <= frame.timestamp
+                self.seen.append((frame.case_id, frame.activity, frame.timestamp))
+
+        recorder = TimestampRecorder()
+        metrics = replay(sample_traces(), recorder, interleave="by-timestamp")
+        assert metrics.events_processed == 5
+        assert [(case, act) for case, act, _ in recorder.seen] == [
+            ("1", "a"),
+            ("1", "b"),
+            ("2", "a"),
+            ("2", "b"),
+            ("1", "c"),
+        ]
+
+    def test_unknown_interleave_mode_raises(self):
+        with pytest.raises(ValueError, match="unknown interleave mode"):
+            replay(sample_traces(), None, interleave="shuffled")
+
+    @pytest.mark.parametrize("rate", [0, -5.0, math.nan])
+    def test_drive_rejects_a_rate_that_is_not_positive(self, workflow_trie, rate):
+        sink = EngineSink(Engine(EngineConfig(trie=workflow_trie)))
+        with pytest.raises(ValueError, match="rate must be a positive number"):
+            drive(interleave_round_robin(sample_traces()), sink, rate=rate)
+        assert sink.latencies == []
 
     def test_engine_sink_metrics(self, workflow_trie):
         engine = Engine(EngineConfig(trie=workflow_trie, decay=DecayPolicy.fixed(2)))
@@ -416,7 +448,7 @@ class TestStreamServer:
                 metrics = json.loads(file.readline())
         assert metrics["events_processed"] == 1
         assert metrics["frames_malformed"] == 0
-        assert running_server.engine.trie.alphabet.code("prüfen") is not None
+        assert running_server.engine.alphabet.code("prüfen") is not None
 
     def test_last_line_without_newline_is_processed(self, running_server):
         with socket.create_connection(running_server.address, timeout=5.0) as client:

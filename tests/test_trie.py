@@ -58,8 +58,8 @@ class TestBuildTrie:
         assert workflow_trie.max_branching == 3
 
     def test_alphabet_holds_only_the_proxy_labels(self, workflow_trie):
-        # Engines intern unseen labels into the trie's alphabet, so this
-        # fails whenever an earlier test's engine shared the fixture.
+        # Some tests intern stream-only labels into the trie's alphabet, so
+        # this fails whenever an earlier test shared the fixture.
         assert workflow_trie.alphabet.labels() == list("abcde")
 
     def test_single_activity_trace(self):
