@@ -183,11 +183,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     except ParseError as exc:
         return _fail(str(exc), EXIT_INPUT)
     try:
-        policy = _decay_policy(args)
+        engine = Engine(EngineConfig(trie=trie, decay=_decay_policy(args)))
     except ValueError as exc:
         return _fail(str(exc), EXIT_INPUT)
 
-    engine = Engine(EngineConfig(trie=trie, decay=policy))
     try:
         with open(args.records, "w", encoding="utf-8") if args.records else nullcontext() as records:
             per_trace, total_micros = _check_traces(engine, traces, args.per_event, records)
@@ -295,11 +294,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     try:
         trie = _load_trie_file(args.trie)
-        policy = _decay_policy(args)
+        engine = Engine(EngineConfig(trie=trie, decay=_decay_policy(args)))
         host, port = _parse_addr(args.listen)
     except (OSError, TrieFormatError, ValueError) as exc:
         return _fail(str(exc), EXIT_INPUT)
-    engine = Engine(EngineConfig(trie=trie, decay=policy))
     try:
         report = serve_stream(engine, host=host, port=port)
     except OSError as exc:
@@ -370,7 +368,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise ValueError("--max-events must be at least 1")
         NoiseConfig(level=args.noise)  # the stream checks it only at its first frame
         trie = _load_trie_file(args.trie)
-        policy = _decay_policy(args)
+        engine = Engine(EngineConfig(trie=trie, decay=_decay_policy(args)))
         address = _parse_addr(args.connect) if args.connect else None
     except (OSError, TrieFormatError, ValueError) as exc:
         return _fail(str(exc), EXIT_INPUT)
@@ -402,7 +400,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         _emit(report, args.json, [f"sent {sent} frames", f"server metrics: {server_metrics}"])
         return EXIT_OK
 
-    engine = Engine(EngineConfig(trie=trie, decay=policy))
     metrics = drive(frames, EngineSink(engine), args.rate)
     completed_costs = [engine.conformance_cost(case_id) for case_id in engine.case_ids()]
     report = {
@@ -435,23 +432,25 @@ def cmd_bench(args: argparse.Namespace) -> int:
     try:
         trie = _load_trie_file(args.trie)
         traces = parse_event_log(_read_text(args.log))
-        policy = _decay_policy(args)
+        config = EngineConfig(trie=trie, decay=_decay_policy(args))
+        engine = Engine(config)
     except (OSError, TrieFormatError, ParseError, ValueError) as exc:
         return _fail(str(exc), EXIT_INPUT)
 
-    def one_run() -> tuple[list[float], Engine]:
-        engine = Engine(EngineConfig(trie=trie, decay=policy))
+    def one_run(engine: Engine) -> list[float]:
         sink = EngineSink(engine)
         replay(traces, sink)
-        return sink.latencies, engine
+        return sink.latencies
 
     if args.repeat > 1:
-        one_run()  # warm-up excluded from stats
+        one_run(Engine(config))  # warm-up excluded from stats
     pooled: list[float] = []
     max_states = 0
     bound_violations = 0
-    for _ in range(args.repeat):
-        latencies, engine = one_run()
+    for run in range(args.repeat):
+        if run:
+            engine = Engine(config)
+        latencies = one_run(engine)
         pooled.extend(latencies)
         max_states = max(max_states, engine.peak_total_states)
         limit_factor = trie.max_branching + 1

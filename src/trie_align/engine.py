@@ -12,11 +12,14 @@ event suffix, the alignment cost, and a decay counter. Per arriving event:
    their suffix and the successors are added.
 3. Otherwise each survivor proposes candidates: one log-move state that
    flushes its whole pending suffix plus the event as log moves, and
-   model-move states found by a bounded look-ahead below its node, which
-   probes only the nodes that carry the first pending event, through the
-   trie's preorder index (see :func:`expand_model_moves`). Candidates are
-   admitted against a running cost minimum; only those matching the final
-   minimum are kept, with at most one state per trie node.
+   model-move states found by a bounded look-ahead below its node. With
+   two or more events pending it probes only the nodes that carry the
+   first pending event and have a child carrying the second, through the
+   trie's pair index; a single pending event is looked up among the
+   node's children and grandchildren (see :func:`expand_model_moves`).
+   Candidates are admitted against a running cost minimum; only those
+   matching the final minimum are kept, with at most one state per trie
+   node.
 
 Either step admits at most ``max_branching + 1`` new states per event,
 fewer when the case is near its bound; the cap truncates
@@ -90,8 +93,11 @@ def decay_time(avg_leaf_depth: float, i: int, policy: DecayPolicy) -> int:
     rounded to the nearest integer and floored at ``min_dt``; the floor
     also covers cases older than the average leaf depth. Never increases
     with ``i``, so ``i == 0`` (a case's root) gives the largest value.
+    Raises OverflowError when that value is infinite; a scaled length that
+    overflows below the floor (a long case, a huge ``df``) is the floor.
     """
-    return max(round((avg_leaf_depth - i) * policy.df), policy.min_dt)
+    scaled = (avg_leaf_depth - i) * policy.df
+    return round(scaled) if scaled > policy.min_dt else policy.min_dt
 
 
 class State:
@@ -218,11 +224,16 @@ def expand_model_moves(trie: Trie, state: State, code: int, decay: int) -> list[
     pending sequence (suffix plus the new event) matches as a downward
     path. Start nodes lie at most ``len(pending) + 1`` levels down: any
     deeper match would need more model moves than flushing everything as
-    log moves costs, so it could never be admitted. Level by level, the
-    trie's preorder index (:meth:`Trie.starts_at`) yields only the nodes
-    that carry the first pending event, in breadth-first order, and each
-    is checked with :meth:`Trie.path_match`. The shallowest matching level
-    wins and all matches at that level are returned.
+    log moves costs, so it could never be admitted. With two or more
+    events pending, level by level, the trie's pair index
+    (:meth:`Trie.starts_at`) yields only the nodes that carry the first
+    pending event and have a child labeled the second, in breadth-first
+    order, and each is checked with :meth:`Trie.path_match`. With one
+    event pending, a start node is its own match: it is the node's child
+    labeled with it or, failing that, each child's such child in
+    ascending code order, which is the same breadth-first order. The
+    shallowest matching level wins and all matches at that level are
+    returned.
 
     If no level matches and more than one event is pending, the oldest
     pending event is dropped (it becomes a log move in the emitted
@@ -236,6 +247,7 @@ def expand_model_moves(trie: Trie, state: State, code: int, decay: int) -> list[
     of dropped events plus the number of model moves.
     """
     labels = trie.labels
+    children = trie.children
     base_level = trie.levels[state.node]
 
     pending = list(state.suffix)
@@ -243,15 +255,29 @@ def expand_model_moves(trie: Trie, state: State, code: int, decay: int) -> list[
     dropped: list[int] = []
 
     while True:
-        first = pending[0]
         matches: list[tuple[int, int]] = []
-        for level in range(base_level + 1, base_level + len(pending) + 2):
-            for nid in trie.starts_at(state.node, first, level):
-                terminal = trie.path_match(nid, pending)
-                if terminal is not None:
-                    matches.append((nid, terminal))
-            if matches:
-                break
+        if len(pending) == 1:
+            # A one-event path is its own start node: a child of the
+            # state's node or, failing that, a grandchild.
+            (only,) = pending
+            kids = children[state.node]
+            hit = kids.get(only)
+            if hit is not None:
+                matches.append((hit, hit))
+            else:
+                for kid in kids.values():
+                    hit = children[kid].get(only)
+                    if hit is not None:
+                        matches.append((hit, hit))
+        else:
+            first, second = pending[0], pending[1]
+            for level in range(base_level + 1, base_level + len(pending) + 2):
+                for nid in trie.starts_at(state.node, first, second, level):
+                    terminal = trie.path_match(nid, pending)
+                    if terminal is not None:
+                        matches.append((nid, terminal))
+                if matches:
+                    break
 
         if matches:
             out = []
@@ -302,13 +328,19 @@ class Engine:
     """Single-writer conformance engine over one immutable trie."""
 
     def __init__(self, config: EngineConfig) -> None:
+        """Raises ValueError when ``df`` makes the root's decay time infinite on this trie."""
         self.trie = config.trie
         self.alphabet = ActivityTable(config.trie.alphabet.labels())
         self.policy = config.decay
         self._avg = config.trie.avg_leaf_depth
         self._cap = config.trie.max_branching + 1
         # Every case's largest issued decay (see decay_time).
-        self._root_decay = decay_time(self._avg, 0, self.policy)
+        try:
+            self._root_decay = decay_time(self._avg, 0, self.policy)
+        except OverflowError:
+            raise ValueError(
+                f"df {self.policy.df:g} is too large: the decay time on this trie is infinite"
+            ) from None
         self._buffer: dict[str, _CaseEntry] = {}
         self._total_states = 0
         self.peak_total_states = 0

@@ -16,11 +16,15 @@ Construction also builds a search index over a preorder numbering that
 visits children in ascending code order: ``pre[n]`` is a node's position,
 ``by_pre`` maps a position back to its node id, and the subtree of ``n``
 is the position interval ``[pre[n], pre[n] + size[n])``. ``buckets``
-maps an activity code to one sorted array of positions per trie level,
-so the nodes that carry a code at one level below a given node are a
-bisected slice of one bucket (:meth:`Trie.starts_at`). Within one level,
-preorder order is breadth-first order. The index is derived data: it is
-not serialized and :func:`load_trie` rebuilds it.
+maps an activity pair ``(code, next_code)`` to one sorted array with an
+entry ``level * node_count + pre[n]`` for each node ``n`` that carries
+``code`` and has a child labeled ``next_code``: one entry per trie edge
+below the root. The entries of one level are consecutive and in
+preorder, so the nodes at one level below a given node from which a
+two-event path starts are a bisected slice of one bucket
+(:meth:`Trie.starts_at`). Within one level, preorder order is
+breadth-first order. The index is derived data: it is not serialized and
+:func:`load_trie` rebuilds it.
 
 The structure is immutable after :func:`build_trie` and safe to share
 across threads for read-only queries.
@@ -67,7 +71,6 @@ class Trie:
         "by_pre",
         "size",
         "buckets",
-        "_end_ids",
     )
 
     def __init__(
@@ -87,17 +90,17 @@ class Trie:
         self.alphabet = alphabet
         self.node_count = len(labels)
         self.end_count = sum(is_end)
-        self._end_ids = [nid for nid, end in enumerate(is_end) if end]
 
-        leaf_levels = [levels[n] for n in range(self.node_count) if not children[n]]
-        self.avg_leaf_depth = sum(leaf_levels) / len(leaf_levels) if leaf_levels else 0.0
-        self.max_branching = max(len(d) for d in children)
-
-        # Remaining-path annotation and subtree sizes, children before
-        # parents (child id > parent id).
+        # Remaining-path annotation, subtree sizes, leaf depths and the
+        # widest fan-out in one sweep, children before parents (child id >
+        # parent id). Leaf levels are ints, so their sum is exact in any
+        # order. ``offset`` is a child's preorder position relative to its
+        # parent's: it follows the parent and its elder siblings' subtrees.
         n = self.node_count
         min_to_end = [0] * n
         size = array("i", [1]) * n
+        offset = array("i", [1]) * n
+        leaf_level_sum = leaves = max_branching = 0
         for nid in range(n - 1, -1, -1):
             kids = children[nid]
             if len(kids) == 1:
@@ -106,39 +109,51 @@ class Trie:
                 if not is_end[nid]:
                     min_to_end[nid] = min_to_end[kid] + 1
             elif kids:
-                size[nid] += sum(map(size.__getitem__, kids.values()))
+                at = 1
+                for kid in kids.values():  # ascending code order
+                    offset[kid] = at
+                    at += size[kid]
+                size[nid] = at
                 if not is_end[nid]:
                     min_to_end[nid] = 1 + min(map(min_to_end.__getitem__, kids.values()))
-            elif not is_end[nid]:
+                if len(kids) > max_branching:
+                    max_branching = len(kids)
+            elif is_end[nid]:
+                leaf_level_sum += levels[nid]
+                leaves += 1
+            else:
                 raise TrieError(f"leaf node {nid} is not an end node")
         self.min_to_end = min_to_end
         self.size = size
+        self.avg_leaf_depth = leaf_level_sum / leaves if leaves else 0.0
+        # Without a fork the trie is one chain, as wide as its root.
+        self.max_branching = max_branching or len(children[ROOT])
 
-        # Preorder positions, parents before children: each child starts
-        # right after its elder siblings' subtrees.
+        # Preorder positions, parents before children.
         pre = array("i", [0]) * n
+        for nid in range(1, n):
+            pre[nid] = pre[parents[nid]] + offset[nid]
         by_pre = array("i", [0]) * n
-        for nid in range(n):
-            pos = pre[nid]
+        for nid, pos in enumerate(pre):
             by_pre[pos] = nid
-            pos += 1
-            for kid in children[nid].values():
-                pre[kid] = pos
-                pos += size[kid]
         self.pre = pre
         self.by_pre = by_pre
 
-        # Per-code, per-level position buckets, filled in preorder so each
-        # is ascending. The root carries no activity and is left out.
-        height = max(levels) + 1
-        buckets: dict[int, list[array]] = {}
-        for pos in range(1, n):
-            nid = by_pre[pos]
-            rows = buckets.get(labels[nid])
-            if rows is None:
-                rows = buckets[labels[nid]] = [array("i") for _ in range(height)]
-            rows[levels[nid]].append(pos)
-        self.buckets = buckets
+        # One bucket per activity pair (code, child code). Every edge below
+        # the root adds its parent as ``level * n + position``, so a sorted
+        # bucket holds the parents level by level, each level in preorder.
+        pairs: dict[tuple[int, int], list[int]] = {}
+        for kid in range(1, n):
+            parent = parents[kid]
+            if parent:
+                key = (labels[parent], labels[kid])
+                entry = levels[parent] * n + pre[parent]
+                bucket = pairs.get(key)
+                if bucket is None:
+                    pairs[key] = [entry]
+                else:
+                    bucket.append(entry)
+        self.buckets = {key: array("q", sorted(entries)) for key, entries in pairs.items()}
 
     # -- queries ---------------------------------------------------------
 
@@ -162,22 +177,23 @@ class Trie:
             node = nxt
         return node
 
-    def starts_at(self, node_id: int, code: int, level: int) -> list[int]:
-        """Strict descendants of ``node_id`` at ``level`` that carry ``code``.
+    def starts_at(self, node_id: int, code: int, next_code: int, level: int) -> list[int]:
+        """Strict descendants of ``node_id`` at ``level`` that carry ``code``
+        and have a child labeled ``next_code``.
 
         Node ids in preorder, which within one level is breadth-first
-        order. Empty for a code no node carries, including codes interned
+        order. Empty for a pair no edge carries, including codes interned
         after the trie was built.
         """
-        rows = self.buckets.get(code)
-        if rows is None or level >= len(rows):
+        bucket = self.buckets.get((code, next_code))
+        if bucket is None:
             return []
-        bucket = rows[level]
-        start = self.pre[node_id]
+        base = level * self.node_count
+        start = base + self.pre[node_id]
         lo = bisect_left(bucket, start + 1)
         hi = bisect_left(bucket, start + self.size[node_id], lo)
         by_pre = self.by_pre
-        return [by_pre[pos] for pos in bucket[lo:hi]]
+        return [by_pre[entry - base] for entry in bucket[lo:hi]]
 
     def min_completion_path(self, node_id: int) -> list[int]:
         """A shortest label path from ``node_id`` down to some end node.
@@ -223,7 +239,7 @@ class Trie:
         return node
 
     def end_node_ids(self) -> list[int]:
-        return list(self._end_ids)
+        return [nid for nid, end in enumerate(self.is_end) if end]
 
     def model_activity_labels(self) -> list[str]:
         """Labels actually used by trie nodes, in code order.
@@ -373,6 +389,9 @@ def load_trie(payload: bytes) -> Trie:
             raise TrieFormatError(f"corrupt trie payload: duplicate child at node {parent}")
         children[parent][label] = nid
 
+    # Free the parsed rows first: fewer live objects for the garbage
+    # collector to walk while the search index is built.
+    del doc, rows
     children = [dict(sorted(d.items())) if len(d) > 1 else d for d in children]
     try:
         trie = Trie(labels, parents, levels, children, is_end, alphabet)

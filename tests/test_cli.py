@@ -277,6 +277,34 @@ class TestCheck:
             assert code == 2
 
 
+    def test_df_whose_decay_overflows_exits_2(self, trie_file, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_text(CHECK_LOG)
+        code = main(["check", "--trie", str(trie_file), "--log", str(log), "--df", "1e308"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "df" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve", "--listen", "127.0.0.1:0"],
+        ["simulate", "--max-events", "5"],
+        ["simulate", "--max-events", "5", "--connect", "127.0.0.1:9"],
+        ["bench", "--repeat", "2"],
+    ],
+)
+def test_every_engine_command_rejects_an_overflowing_df(trie_file, tmp_path, capsys, argv):
+    log = tmp_path / "log.csv"
+    log.write_text(CHECK_LOG)
+    extra = ["--log", str(log)] if argv[0] == "bench" else []
+    code = main([argv[0], "--trie", str(trie_file), *extra, *argv[1:], "--df", "1e308"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "df" in err
+
+
 class TestOracle:
     def test_prefix_and_complete_costs(self, trie_file, tmp_path, capsys):
         log = tmp_path / "log.csv"

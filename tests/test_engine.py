@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from trie_align import (
@@ -13,6 +15,7 @@ from trie_align import (
     sync_move,
 )
 from trie_align.engine import State
+from trie_align.trie import Trie
 
 from .conftest import labelize_moves, snapshot_case
 
@@ -39,6 +42,22 @@ class TestDecayTime:
     def test_result_is_at_least_one(self):
         policy = DecayPolicy.discounted(df=0.001, min_dt=1)
         assert decay_time(5, 4, policy) == 1
+
+    def test_overflow_below_the_floor_is_the_floor(self):
+        # (5 - 200) * 1e307 is -inf: an old case on a huge df gets min_dt.
+        assert decay_time(5.0, 200, DecayPolicy(df=1e307, min_dt=3)) == 3
+        with pytest.raises(OverflowError):
+            decay_time(5.0, 0, DecayPolicy(df=1e308))
+
+    def test_engine_rejects_a_df_whose_root_decay_is_infinite(self, workflow_trie):
+        with pytest.raises(ValueError, match="df"):
+            Engine(EngineConfig(trie=workflow_trie, decay=DecayPolicy(df=1e308)))
+
+    def test_huge_finite_decay_survives_a_long_case(self, workflow_trie):
+        engine = Engine(EngineConfig(trie=workflow_trie, decay=DecayPolicy(df=1e307)))
+        for _ in range(100):
+            engine.process("c", "a")
+        assert engine.case_stats("c").events_seen == 100
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -155,6 +174,38 @@ class TestModelMoves:
         leaf = workflow_trie.walk([table.code(x) for x in "abce"])
         state = State.make(node=leaf, moves=(), cost=0, decay=1)
         assert expand_model_moves(workflow_trie, state, table.code("a"), decay=1) == []
+
+    def test_path_match_only_probes_nodes_that_continue_the_pending_pair(self, workflow_trie):
+        # One pending event is matched by child lookups alone; with more,
+        # every probe starts at a node that has a child labeled with the
+        # second pending event, so no probe fails at its first child step.
+        trie = workflow_trie
+        alphabet = range(len(trie.alphabet) + 1)  # the last code is in no node
+        probes: list[tuple[int, tuple[int, ...]]] = []
+        original = Trie.path_match
+
+        def counting_path_match(self, start_id, seq):
+            probes.append((start_id, tuple(seq)))
+            return original(self, start_id, seq)
+
+        Trie.path_match = counting_path_match
+        try:
+            for node in range(trie.node_count):
+                for code in alphabet:
+                    state = State.make(node=node, moves=(), decay=2)
+                    expand_model_moves(trie, state, code, decay=2)
+            assert probes == []
+            for node in range(trie.node_count):
+                for pending in itertools.chain(
+                    itertools.product(alphabet, repeat=2), itertools.product(alphabet, repeat=3)
+                ):
+                    state = State.make(node=node, moves=(), suffix=pending[:-1], decay=2)
+                    expand_model_moves(trie, state, pending[-1], decay=2)
+        finally:
+            Trie.path_match = original
+        assert probes
+        for start, seq in probes:
+            assert len(seq) >= 2 and seq[1] in trie.children[start]
 
     def test_engine_reaches_pruned_alignment(self, forked_trie):
         # End to end: with a decay window long enough to keep the b-state

@@ -140,7 +140,7 @@ def test_indexed_search_matches_the_level_walk(rng):
     trie = build_trie(ProxyLog(tuple(traces)))
     node = rng.choice([0, rng.randrange(trie.node_count)])  # the root, with most ties, half the time
     # Code len(alphabet) lies past the alphabet and never occurs in the trie.
-    suffix = [rng.randrange(len(trie.alphabet) + 1) for _ in range(rng.randrange(3))]
+    suffix = [rng.randrange(len(trie.alphabet) + 1) for _ in range(rng.randrange(6))]
     code = rng.randrange(len(trie.alphabet) + 1)
     history = [(None, c) for c in trie.node_path_codes(node)]
     state = State.make(node, history, suffix=suffix, cost=len(history), decay=2)

@@ -212,7 +212,7 @@ def index_of(trie) -> tuple:
         list(trie.pre),
         list(trie.by_pre),
         list(trie.size),
-        {code: [list(b) for b in rows] for code, rows in trie.buckets.items()},
+        {key: list(bucket) for key, bucket in trie.buckets.items()},
     )
 
 
@@ -235,29 +235,39 @@ class TestSearchIndex:
             assert set(interval) == descendants(trie, node)
             assert len(interval) == trie.size[node]
 
-    def test_buckets_are_ascending_and_partition_the_non_root_nodes(self, trie):
+    def test_buckets_are_ascending_and_hold_each_edge_once(self, trie):
         seen = []
-        for code, rows in trie.buckets.items():
-            for level, bucket in enumerate(rows):
-                assert all(a < b for a, b in zip(bucket, bucket[1:]))
-                for pos in bucket:
-                    node = trie.by_pre[pos]
-                    assert (trie.labels[node], trie.levels[node]) == (code, level)
-                    seen.append(node)
-        assert sorted(seen) == list(range(1, trie.node_count))
+        for (code, next_code), bucket in trie.buckets.items():
+            assert all(a < b for a, b in zip(bucket, bucket[1:]))
+            for entry in bucket:
+                level, pos = divmod(entry, trie.node_count)
+                node = trie.by_pre[pos]
+                assert (trie.labels[node], trie.levels[node]) == (code, level)
+                seen.append((node, trie.children[node][next_code]))
+        edges = [(trie.parents[k], k) for k in range(1, trie.node_count) if trie.parents[k] != ROOT]
+        assert sorted(seen) == sorted(edges)
 
     def test_starts_at_is_breadth_first_order(self, trie):
+        alphabet = range(len(trie.alphabet))
         for node in range(trie.node_count):
             frontier = [node]
             for level in range(trie.levels[node] + 1, trie.levels[node] + 4):
                 frontier = [k for n in frontier for k in trie.children[n].values()]
-                for code in range(len(trie.alphabet)):
-                    expected = [k for k in frontier if trie.labels[k] == code]
-                    assert trie.starts_at(node, code, level) == expected
+                for code in alphabet:
+                    for next_code in alphabet:
+                        expected = [
+                            k
+                            for k in frontier
+                            if trie.labels[k] == code and next_code in trie.children[k]
+                        ]
+                        assert trie.starts_at(node, code, next_code, level) == expected
 
     def test_starts_at_unknown_code_or_level(self, trie):
-        assert trie.starts_at(ROOT, len(trie.alphabet) + 3, 1) == []
-        assert trie.starts_at(ROOT, 0, max(trie.levels) + 5) == []
+        unknown = len(trie.alphabet) + 3
+        code, next_code = next(iter(trie.buckets))
+        assert trie.starts_at(ROOT, unknown, next_code, 1) == []
+        assert trie.starts_at(ROOT, code, unknown, 1) == []
+        assert trie.starts_at(ROOT, code, next_code, max(trie.levels) + 5) == []
 
     def test_load_rebuilds_the_same_index(self, trie):
         assert index_of(load_trie(serialize_trie(trie))) == index_of(trie)
