@@ -23,7 +23,6 @@ from .alignment import (
     validate,
 )
 from .engine import (
-    BufferStats,
     DecayPolicy,
     Engine,
     EngineConfig,
@@ -69,7 +68,6 @@ __all__ = [
     "ActivityTable",
     "Alignment",
     "BoundTooSmallError",
-    "BufferStats",
     "DecayPolicy",
     "Engine",
     "EngineConfig",

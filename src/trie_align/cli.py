@@ -1,5 +1,5 @@
-"""Command-line front end: trie building, checking, serving, simulation,
-oracle comparison, and benchmarking.
+"""Command-line front end: trie building, checking, serving, simulation
+and oracle comparison.
 
 Exit codes: 0 on success, 2 on input errors, 3 on connection errors. Every
 subcommand prints a human-readable report by default and a single JSON
@@ -30,8 +30,6 @@ from .stream import (
     StreamFrame,
     TcpSink,
     drive,
-    latency_summary,
-    replay,
     serve as serve_stream,
 )
 from .trie import Trie, TrieError, TrieFormatError, build_trie, load_trie, serialize_trie
@@ -426,64 +424,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    if args.repeat < 1:
-        return _fail("--repeat must be at least 1", EXIT_INPUT)
-    try:
-        trie = _load_trie_file(args.trie)
-        traces = parse_event_log(_read_text(args.log))
-        config = EngineConfig(trie=trie, decay=_decay_policy(args))
-        engine = Engine(config)
-    except (OSError, TrieFormatError, ParseError, ValueError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
-
-    def one_run(engine: Engine) -> list[float]:
-        sink = EngineSink(engine)
-        replay(traces, sink)
-        return sink.latencies
-
-    if args.repeat > 1:
-        one_run(Engine(config))  # warm-up excluded from stats
-    pooled: list[float] = []
-    max_states = 0
-    bound_violations = 0
-    for run in range(args.repeat):
-        if run:
-            engine = Engine(config)
-        latencies = one_run(engine)
-        pooled.extend(latencies)
-        max_states = max(max_states, engine.peak_total_states)
-        limit_factor = trie.max_branching + 1
-        for case_id in engine.case_ids():
-            stats = engine.case_stats(case_id)
-            if stats.peak_states > limit_factor * stats.max_decay_issued:
-                bound_violations += 1
-
-    _, p50, p95, peak = latency_summary(pooled)
-    report = {
-        "runs": args.repeat,
-        "events_per_run": len(pooled) // args.repeat,
-        "p50_micros": round(p50, 3),
-        "p95_micros": round(p95, 3),
-        "max_micros": round(peak, 3),
-        "max_buffer_states": max_states,
-        "buffer_bound_violations": bound_violations,
-    }
-    _emit(
-        report,
-        args.json,
-        [
-            f"{args.repeat} run(s), {report['events_per_run']} events each",
-            f"  p50:  {report['p50_micros']} us",
-            f"  p95:  {report['p95_micros']} us",
-            f"  max:  {report['max_micros']} us",
-            f"  max buffer states: {max_states}",
-            f"  buffer bound violations: {bound_violations}",
-        ],
-    )
-    return EXIT_OK if bound_violations == 0 else 1
-
-
 # -- parser -----------------------------------------------------------------
 
 
@@ -539,14 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_decay_flags(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("bench", help="per-event latency distribution over repeated replays")
-    p.add_argument("--trie", required=True)
-    p.add_argument("--log", required=True)
-    p.add_argument("--repeat", type=int, default=1)
-    _add_decay_flags(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

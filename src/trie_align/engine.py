@@ -176,13 +176,6 @@ class EngineConfig:
 
 
 @dataclass(frozen=True)
-class BufferStats:
-    cases: int
-    total_states: int
-    max_states_per_case: int
-
-
-@dataclass(frozen=True)
 class CaseStats:
     """Per-case diagnostics for buffer-bound auditing; ``max_decay_issued`` is the root's."""
 
@@ -525,13 +518,4 @@ class Engine:
             states=len(entry.states),
             peak_states=entry.peak_states,
             max_decay_issued=self._root_decay,
-        )
-
-    def buffer_stats(self) -> BufferStats:
-        """Exact buffer occupancy: cases, stored states, largest case."""
-        sizes = [len(entry.states) for entry in self._buffer.values()]
-        return BufferStats(
-            cases=len(sizes),
-            total_states=sum(sizes),
-            max_states_per_case=max(sizes, default=0),
         )

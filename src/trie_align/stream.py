@@ -15,8 +15,9 @@ engine down.
 Replay can drive an in-process engine or a remote TCP endpoint, in
 round-robin or timestamp order, throttled or flat out. Every report of an
 engine run, replay and server alike, comes from one meter,
-:class:`EngineSink`: its latencies only ever count engine processing
-time; waiting for the throttle or the socket is reported as idle time.
+:class:`EngineSink`, whose memory does not grow with the stream: its
+latencies only ever count engine processing time; waiting for the
+throttle or the socket is reported as idle time.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import selectors
 import socket
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Sequence
@@ -189,21 +191,6 @@ ROUND_ROBIN = "round-robin"
 BY_TIMESTAMP = "by-timestamp"
 
 
-def latency_summary(micros: Sequence[float]) -> tuple[float, float, float, float]:
-    """Mean, p50, p95 and max of per-event micros; all zero when empty.
-
-    Percentiles take the nearest rank on the sorted list: the p-th is the
-    value at 1-based rank ceil(p * n / 100).
-    """
-    n = len(micros)
-    if not n:
-        return 0.0, 0.0, 0.0, 0.0
-    ordered = sorted(micros)
-    p50 = ordered[-(-50 * n // 100) - 1]
-    p95 = ordered[-(-95 * n // 100) - 1]
-    return sum(ordered) / n, p50, p95, ordered[-1]
-
-
 @dataclass
 class RunMetrics:
     """Replay/serve measurements; computation excludes all waiting."""
@@ -264,29 +251,50 @@ def interleave_by_timestamp(traces: Iterable[Trace]) -> list[StreamFrame]:
     return [StreamFrame(ev.case_id, ev.activity, ev.timestamp) for ev in events]
 
 
+# Latest per-event latencies the meter keeps for its p50.
+_P50_WINDOW = 65_536
+
+
 class EngineSink:
-    """Feeds frames straight into an in-process engine; :meth:`report` is the one meter."""
+    """Feeds frames straight into an in-process engine; :meth:`report` is the one meter.
+
+    Count, computation (the sum) and max cover every event sent; the p50
+    covers the latest ``_P50_WINDOW`` events only, so memory stays fixed
+    on an unbounded stream.
+    """
 
     def __init__(self, engine: Engine) -> None:
         self.engine = engine
-        self.latencies: list[float] = []
+        self.processed = 0
+        self.computation = 0.0
+        self.peak = 0.0
+        self.window: deque[float] = deque(maxlen=_P50_WINDOW)
 
     def send(self, frame: StreamFrame) -> None:
         result = self.engine.process(frame.case_id, frame.activity, frame.timestamp)
-        self.latencies.append(result.processing_micros)
+        micros = result.processing_micros
+        self.processed += 1
+        self.computation += micros
+        if micros > self.peak:
+            self.peak = micros
+        self.window.append(micros)
 
     def report(self, wall: float, idle: float = 0.0) -> RunMetrics:
-        """The run so far, over ``wall`` micros; time not spent processing counts as idle."""
-        computation = sum(self.latencies)
-        mean, p50, _, peak = latency_summary(self.latencies)
+        """The run so far, over ``wall`` micros; time not spent processing counts as idle.
+
+        The p50 takes the nearest rank over the window, the lower middle
+        value of an even count.
+        """
+        n = self.processed
+        window = self.window
         return RunMetrics(
-            events_processed=len(self.latencies),
-            computation_micros=computation,
-            idle_micros=max(idle, wall - computation),
+            events_processed=n,
+            computation_micros=self.computation,
+            idle_micros=max(idle, wall - self.computation),
             wall_micros=wall,
-            mean_event_micros=mean,
-            p50_event_micros=p50,
-            max_event_micros=peak,
+            mean_event_micros=self.computation / n if n else 0.0,
+            p50_event_micros=sorted(window)[(len(window) - 1) // 2] if window else 0.0,
+            max_event_micros=self.peak,
             max_buffer_states=self.engine.peak_total_states,
             max_resident_cases=len(self.engine.case_ids()),
         )

@@ -8,9 +8,9 @@ trace is a prefix of another.
 
 Nodes live in parallel arrays indexed by a dense node id; the root is id 0
 and every child id is greater than its parent's, so a reverse id sweep
-visits children before parents. Children maps are rebuilt with keys in
-ascending activity-code order after construction, which makes every
-iteration-order-dependent tie-break deterministic.
+visits children before parents. The :class:`Trie` constructor rebuilds
+the children maps with keys in ascending activity-code order, which makes
+every iteration-order-dependent tie-break deterministic.
 
 Construction also builds a search index over a preorder numbering that
 visits children in ascending code order: ``pre[n]`` is a node's position,
@@ -85,7 +85,8 @@ class Trie:
         self.labels = labels
         self.parents = parents
         self.levels = levels
-        self.children = children
+        # Keys in ascending code order, so every tie-break is deterministic.
+        self.children = children = [dict(sorted(d.items())) if len(d) > 1 else d for d in children]
         self.is_end = is_end
         self.alphabet = alphabet
         self.node_count = len(labels)
@@ -317,7 +318,6 @@ def build_trie(proxy: ProxyLog) -> Trie:
             node = nxt
         is_end[node] = True
 
-    children = [dict(sorted(d.items())) if len(d) > 1 else d for d in children]
     return Trie(labels, parents, levels, children, is_end, table)
 
 
@@ -392,7 +392,6 @@ def load_trie(payload: bytes) -> Trie:
     # Free the parsed rows first: fewer live objects for the garbage
     # collector to walk while the search index is built.
     del doc, rows
-    children = [dict(sorted(d.items())) if len(d) > 1 else d for d in children]
     try:
         trie = Trie(labels, parents, levels, children, is_end, alphabet)
     except TrieError as exc:

@@ -26,7 +26,6 @@ from trie_align.cli import simulate_stream
 from trie_align.engine import State
 from trie_align.events import ProxyLog
 from trie_align.oracle import exhaustive_prefix
-from trie_align.stream import EngineSink
 
 from .conftest import labelize_moves, snapshot_case
 
@@ -214,16 +213,15 @@ def test_c7_throughput_on_large_trie():
     assert trie.node_count >= 50_000, f"generated trie too small: {trie.node_count}"
 
     engine = Engine(EngineConfig(trie=trie))
-    sink = EngineSink(engine)
     target_events = 52_000
-    count = 0
+    latencies = []
     for frame in simulate_stream(
         trie, noise_level=0.10, seed=11, max_events=target_events, duration=None
     ):
-        sink.send(frame)
-        count += 1
+        result = engine.process(frame.case_id, frame.activity, frame.timestamp)
+        latencies.append(result.processing_micros)
 
-    latencies = sink.latencies
+    count = len(latencies)
     mean_micros = sum(latencies) / len(latencies)
     p50_micros = median(latencies)
     bound_violations = _audit_buffer_bounds(engine)

@@ -50,13 +50,16 @@ def test_readme_cli_lines_parse():
     parser = build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])
+    # Every subcommand must appear in a documented invocation, so none goes
+    # undocumented; the parse above already rejects a deleted one.
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subcommands.choices) <= {shlex.split(line)[1] for line in lines}
     # Every backticked flag in the prose must be accepted by at least one
     # subcommand, so a deleted flag cannot live on in the text either.
     prose = re.sub(r"```.*?```", "", readme.read_text(), flags=re.S)
     spans = " ".join(re.findall(r"`([^`]+)`", prose))
     flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", spans))
     assert len(flags) >= 8
-    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     accepted = {
         option
         for sub in subcommands.choices.values()
@@ -292,14 +295,10 @@ class TestCheck:
         ["serve", "--listen", "127.0.0.1:0"],
         ["simulate", "--max-events", "5"],
         ["simulate", "--max-events", "5", "--connect", "127.0.0.1:9"],
-        ["bench", "--repeat", "2"],
     ],
 )
-def test_every_engine_command_rejects_an_overflowing_df(trie_file, tmp_path, capsys, argv):
-    log = tmp_path / "log.csv"
-    log.write_text(CHECK_LOG)
-    extra = ["--log", str(log)] if argv[0] == "bench" else []
-    code = main([argv[0], "--trie", str(trie_file), *extra, *argv[1:], "--df", "1e308"])
+def test_every_engine_command_rejects_an_overflowing_df(trie_file, capsys, argv):
+    code = main([argv[0], "--trie", str(trie_file), *argv[1:], "--df", "1e308"])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "df" in err
@@ -619,52 +618,6 @@ class TestServeAndSimulateConnect:
         assert report["sent"] == 5
         assert report["wall_micros"] >= 4 * 5000  # four inter-event gaps at 5 ms
         assert report["server"]["events_processed"] == 5
-
-
-class TestBench:
-    def test_single_repeat_matches_check_totals(self, trie_file, tmp_path, capsys):
-        log = tmp_path / "log.csv"
-        log.write_text(CHECK_LOG)
-        report = run_json(
-            capsys,
-            [
-                "bench",
-                "--trie",
-                str(trie_file),
-                "--log",
-                str(log),
-                "--repeat",
-                "1",
-                "--df",
-                "0",
-                "--min-dt",
-                "2",
-                "--json",
-            ],
-        )
-        assert report["runs"] == 1
-        assert report["events_per_run"] == 4
-        assert report["buffer_bound_violations"] == 0
-        assert report["p50_micros"] <= report["p95_micros"] <= report["max_micros"]
-
-    def test_repeated_runs_pool_latencies(self, trie_file, tmp_path, capsys):
-        log = tmp_path / "log.csv"
-        log.write_text(CHECK_LOG)
-        report = run_json(
-            capsys,
-            ["bench", "--trie", str(trie_file), "--log", str(log), "--repeat", "3", "--json"],
-        )
-        assert report["runs"] == 3
-        assert report["events_per_run"] == 4
-
-
-    @pytest.mark.parametrize("repeat", ["0", "-2"])
-    def test_repeat_below_one_exits_2(self, trie_file, tmp_path, capsys, repeat):
-        log = tmp_path / "log.csv"
-        log.write_text(CHECK_LOG)
-        code = main(["bench", "--trie", str(trie_file), "--log", str(log), "--repeat", repeat])
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestCheckSimulateConsistency:

@@ -18,6 +18,7 @@ from trie_align import (
     EngineConfig,
     NoiseConfig,
     Noiser,
+    ProcessResult,
     StreamFrame,
     StreamServer,
     inject_noise,
@@ -31,7 +32,6 @@ from trie_align.stream import (
     drive,
     interleave_by_timestamp,
     interleave_round_robin,
-    latency_summary,
     replay,
 )
 
@@ -93,21 +93,77 @@ class TestFrames:
             parse_frame(line)
 
 
+class ScriptedEngine:
+    """Stands in for an engine: each processed event takes the next scripted latency."""
+
+    peak_total_states = 0
+
+    def __init__(self, micros):
+        self._micros = iter(micros)
+
+    def process(self, case_id, activity, timestamp=None):
+        return ProcessResult(True, (), 0, next(self._micros))
+
+    def case_ids(self):
+        return []
+
+
+def metered(micros):
+    """The meter's sink after it was sent one event per scripted latency."""
+    sink = EngineSink(ScriptedEngine(micros))
+    for _ in micros:
+        sink.send(StreamFrame("c", "a"))
+    return sink
+
+
+def nearest_rank(values, p):
+    """The p-th percentile: the value at 1-based rank ceil(p * n / 100); 0 when empty."""
+    if not values:
+        return 0.0
+    return sorted(values)[math.ceil(p * len(values) / 100) - 1]
+
+
 class TestLatencySummary:
     def test_empty(self):
-        assert latency_summary([]) == (0.0, 0.0, 0.0, 0.0)
+        metrics = metered([]).report(wall=0.0)
+        assert metrics.events_processed == 0
+        assert (metrics.mean_event_micros, metrics.p50_event_micros) == (0.0, 0.0)
+        assert (metrics.max_event_micros, metrics.computation_micros) == (0.0, 0.0)
 
     def test_single_value(self):
-        assert latency_summary([7.5]) == (7.5, 7.5, 7.5, 7.5)
+        metrics = metered([7.5]).report(wall=10.0)
+        assert metrics.events_processed == 1
+        assert metrics.mean_event_micros == metrics.p50_event_micros == 7.5
+        assert metrics.max_event_micros == 7.5
 
     def test_even_length_takes_nearest_rank(self):
-        # n = 4: p50 is rank ceil(2.0) = 2, p95 is rank ceil(3.8) = 4.
-        assert latency_summary([4.0, 1.0, 3.0, 2.0]) == (2.5, 2.0, 4.0, 4.0)
+        # n = 4: p50 is rank ceil(2.0) = 2, the lower middle value.
+        micros = [4.0, 1.0, 3.0, 2.0]
+        metrics = metered(micros).report(wall=20.0)
+        assert metrics.p50_event_micros == nearest_rank(micros, 50) == 2.0
+        assert (metrics.mean_event_micros, metrics.max_event_micros) == (2.5, 4.0)
 
-    def test_p95_rank_on_twenty_values(self):
-        # n = 20: p95 is rank 19 exactly, p50 rank 10.
-        _, p50, p95, peak = latency_summary([float(v) for v in range(20, 0, -1)])
-        assert (p50, p95, peak) == (10.0, 19.0, 20.0)
+    def test_p50_rank_on_twenty_values(self):
+        # n = 20: p50 is rank 10.
+        micros = [float(v) for v in range(20, 0, -1)]
+        metrics = metered(micros).report(wall=300.0)
+        assert metrics.p50_event_micros == nearest_rank(micros, 50) == 10.0
+        assert metrics.max_event_micros == 20.0
+
+    def test_window_keeps_the_latest_events(self):
+        # Integer-valued latencies, so every sum is exact. The slow early
+        # events leave the window but stay in the count, the sum and the max.
+        window = 65_536
+        micros = [1e6 + i for i in range(1_000)] + [float(i % 977) for i in range(window)]
+        sink = metered(micros)
+        assert len(sink.window) == window
+        metrics = sink.report(wall=sum(micros))
+        assert metrics.events_processed == len(micros)
+        assert metrics.computation_micros == sum(micros)
+        assert metrics.mean_event_micros == sum(micros) / len(micros)
+        assert metrics.max_event_micros == max(micros) == 1e6 + 999
+        assert metrics.p50_event_micros == nearest_rank(micros[-window:], 50)
+        assert metrics.p50_event_micros != nearest_rank(micros, 50)
 
 
 class TestInterleaving:
@@ -185,7 +241,8 @@ class TestReplay:
         sink = EngineSink(Engine(EngineConfig(trie=workflow_trie)))
         with pytest.raises(ValueError, match="rate must be a positive number"):
             drive(interleave_round_robin(sample_traces()), sink, rate=rate)
-        assert sink.latencies == []
+        assert sink.processed == 0
+        assert not sink.window
 
     def test_engine_sink_metrics(self, workflow_trie):
         engine = Engine(EngineConfig(trie=workflow_trie, decay=DecayPolicy.fixed(2)))
@@ -298,7 +355,7 @@ class TestStreamServer:
         policy = DecayPolicy.discounted()
         sink = EngineSink(Engine(EngineConfig(trie=workflow_trie, decay=policy)))
         replayed = stream_mod.drive(frames, sink)
-        assert replayed.computation_micros == sum(sink.latencies)
+        assert replayed.computation_micros == sink.computation
 
         server = StreamServer(Engine(EngineConfig(trie=workflow_trie, decay=policy)), port=0)
         server.start()
@@ -310,7 +367,7 @@ class TestStreamServer:
         for key in ("events_processed", "max_buffer_states", "max_resident_cases"):
             assert served[key] == getattr(replayed, key)
         assert served["events_processed"] == len(frames) > 150
-        assert served["computation_micros"] == round(sum(server._sink.latencies), 1)
+        assert served["computation_micros"] == round(server._sink.computation, 1)
 
     def test_each_line_is_decoded_once(self, running_server, monkeypatch):
         decodes = []
@@ -486,10 +543,6 @@ class TestStreamServer:
             def process(self, case_id, activity, timestamp=None):
                 threads.add(threading.get_ident())
                 return super().process(case_id, activity, timestamp)
-
-            def buffer_stats(self):
-                threads.add(threading.get_ident())
-                return super().buffer_stats()
 
             def case_ids(self):
                 threads.add(threading.get_ident())
