@@ -33,6 +33,7 @@ from .engine import (
     expand_model_moves,
 )
 from .events import (
+    UNKNOWN,
     ActivityTable,
     Event,
     ParseError,
@@ -56,7 +57,6 @@ from .stream import (
     RunMetrics,
     StreamFrame,
     StreamServer,
-    inject_noise,
     parse_frame,
     replay,
 )
@@ -65,6 +65,7 @@ from .trie import Trie, TrieError, TrieFormatError, build_trie, load_trie, seria
 __version__ = "0.1.0"
 
 __all__ = [
+    "UNKNOWN",
     "ActivityTable",
     "Alignment",
     "BoundTooSmallError",
@@ -95,7 +96,6 @@ __all__ = [
     "decay_time",
     "exhaustive_prefix",
     "expand_model_moves",
-    "inject_noise",
     "load_trie",
     "log_move",
     "model_move",

@@ -18,7 +18,7 @@ All types here are plain values; every operation is reentrant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from .trie import Trie
@@ -153,10 +153,13 @@ def validate(
     return True
 
 
-def render_text(alignment: Alignment, label_of: Callable[[int], str]) -> str:
-    """Two-row rendering: trace row on top, model row below, ``>>`` for skips."""
-    top = [SKIP_TEXT if m.log is None else label_of(m.log) for m in alignment.moves]
-    bottom = [SKIP_TEXT if m.model is None else label_of(m.model) for m in alignment.moves]
+def render_text(
+    alignment: Alignment, observed: Sequence[str], label_of: Callable[[int], str]
+) -> str:
+    """Two-row :func:`alignment_pairs`: trace row on top, model row below, ``>>`` for skips."""
+    pairs = alignment_pairs(alignment, observed, label_of)
+    top = [SKIP_TEXT if p["log"] is None else p["log"] for p in pairs]
+    bottom = [SKIP_TEXT if p["model"] is None else p["model"] for p in pairs]
     widths = [max(len(t), len(b)) for t, b in zip(top, bottom)]
     trace_row = " ".join(t.ljust(w) for t, w in zip(top, widths)).rstrip()
     model_row = " ".join(b.ljust(w) for b, w in zip(bottom, widths)).rstrip()
@@ -164,12 +167,20 @@ def render_text(alignment: Alignment, label_of: Callable[[int], str]) -> str:
 
 
 def alignment_pairs(
-    alignment: Alignment, label_of: Callable[[int], str]
+    alignment: Alignment, observed: Sequence[str], label_of: Callable[[int], str]
 ) -> list[dict[str, str | None]]:
-    """JSON-friendly form: a list of ``{"log": ..., "model": ...}`` pairs."""
+    """JSON-friendly form: a list of ``{"log": ..., "model": ...}`` pairs.
+
+    The log projection is the observed trace, so the ``k``-th log move
+    shows ``observed[k]`` whatever code it carries; ``label_of`` names
+    the model side.
+    """
+    if len(observed) != sum(m.log is not None for m in alignment.moves):
+        raise ValueError("observed labels must pair one to one with the log moves")
+    labels = iter(observed)
     return [
         {
-            "log": None if m.log is None else label_of(m.log),
+            "log": None if m.log is None else next(labels),
             "model": None if m.model is None else label_of(m.model),
         }
         for m in alignment.moves

@@ -22,7 +22,7 @@ from pathlib import Path
 from . import oracle as oracle_mod
 from .alignment import alignment_pairs
 from .engine import DecayPolicy, Engine, EngineConfig
-from .events import ActivityTable, ParseError, parse_event_log, parse_proxy_log
+from .events import ParseError, parse_event_log, parse_proxy_log
 from .stream import (
     EngineSink,
     NoiseConfig,
@@ -130,7 +130,7 @@ def _check_traces(engine: Engine, traces, per_event: bool, records) -> tuple[lis
     record carrying the case's best prefix alignment after that event.
     """
     trie = engine.trie
-    label = engine.alphabet.label
+    label = trie.alphabet.label
     per_trace = []
     total_micros = 0.0
     for trace in traces:
@@ -150,7 +150,7 @@ def _check_traces(engine: Engine, traces, per_event: bool, records) -> tuple[lis
                     "states_in_case": len(engine.states(trace.case_id)),
                     "processing_micros": round(result.processing_micros, 3),
                     "alignment": alignment_pairs(
-                        engine.best_state(trace.case_id).alignment(), label
+                        engine.best_state(trace.case_id).alignment(), trace.activities[:seq], label
                     ),
                 }
                 records.write(json.dumps(record) + "\n")
@@ -236,7 +236,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                 EXIT_INPUT,
             )
 
-    table = ActivityTable(trie.alphabet.labels())  # stream-only labels stay out of the trie
     compute = oracle_mod.optimal_prefix if args.mode == "prefix" else oracle_mod.optimal_complete
     engine_rows = None
     if args.compare:
@@ -247,7 +246,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     total_opt = 0
     total_engine = 0
     for index, trace in enumerate(traces):
-        codes = [table.intern(a) for a in trace.activities]
+        codes = [trie.alphabet.code(a) for a in trace.activities]
         result = compute(codes, trie)
         row = {"case_id": trace.case_id, "optimal_cost": result.cost}
         if engine_rows is not None:

@@ -35,8 +35,8 @@ event index, so no later state outlives the root's allowance.
 
 An engine instance is single-writer: calls into :meth:`Engine.process`
 must be serialized. Scale out by partitioning the case-id space across
-engines sharing one immutable trie; each engine interns stream-only
-activity labels into its own table, never into the trie's.
+engines sharing one immutable trie. Every activity the trie lacks codes
+as :data:`~trie_align.events.UNKNOWN`, so no label table grows.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from .alignment import Alignment, Move
-from .events import ActivityTable
 from .trie import ROOT, Trie
 
 #: Admission sentinel, larger than any reachable alignment cost.
@@ -76,14 +75,6 @@ class DecayPolicy:
             raise ValueError("df must be finite and >= 0")
         if self.min_dt < 1:
             raise ValueError("min_dt must be >= 1")
-
-    @classmethod
-    def fixed(cls, value: int) -> "DecayPolicy":
-        return cls(df=0, min_dt=value)
-
-    @classmethod
-    def discounted(cls, df: float = 0.3, min_dt: int = 3) -> "DecayPolicy":
-        return cls(df=df, min_dt=min_dt)
 
 
 def decay_time(avg_leaf_depth: float, i: int, policy: DecayPolicy) -> int:
@@ -323,7 +314,7 @@ class Engine:
     def __init__(self, config: EngineConfig) -> None:
         """Raises ValueError when ``df`` makes the root's decay time infinite on this trie."""
         self.trie = config.trie
-        self.alphabet = ActivityTable(config.trie.alphabet.labels())
+        self._code = config.trie.alphabet.code
         self.policy = config.decay
         self._avg = config.trie.avg_leaf_depth
         self._cap = config.trie.max_branching + 1
@@ -344,12 +335,11 @@ class Engine:
     def process(self, case_id: str, activity: str | int, timestamp: str | None = None) -> ProcessResult:
         """Consume one event for ``case_id`` and update its survivor set.
 
-        ``activity`` may be a label or an already-interned code. Labels are
-        interned into the engine's own :attr:`alphabet`, a copy of the
-        trie's, so an unseen label never touches the trie and its fresh
-        code simply never matches. Returns the per-event result.
+        ``activity`` may be a label or a code of the trie's table; a label
+        the trie lacks codes as :data:`~trie_align.events.UNKNOWN`, which
+        its moves carry. Returns the per-event result.
         """
-        code = self.alphabet.intern(activity) if isinstance(activity, str) else activity
+        code = self._code(activity) if isinstance(activity, str) else activity
 
         started = time.perf_counter_ns()
         entry = self._buffer.get(case_id)

@@ -11,7 +11,8 @@ Two file formats are understood:
   and is the input for trie construction.
 
 Activity labels are interned into dense integer codes via
-:class:`ActivityTable` so that the per-event hot path works on ints.
+:class:`ActivityTable` so that the per-event hot path works on ints; a
+label the table lacks codes as :data:`UNKNOWN`.
 The CSV dialect is deliberately minimal: comma-separated, no quoting or
 escaping, so labels must not contain commas or newlines.
 """
@@ -19,6 +20,9 @@ escaping, so labels must not contain commas or newlines.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+#: Code of every activity a table lacks; unlike the root's label, no node has it.
+UNKNOWN = -2
 
 
 class ParseError(ValueError):
@@ -45,7 +49,6 @@ class Event:
         timestamp: optional ISO-8601 instant, carried verbatim. The engine
             never reads it; only a by-timestamp replay orders events by
             it, ties in file order.
-        arrival_seq: 0-based arrival index within the event's case.
         stream_seq: optional global arrival index across the whole parsed
             input, used to keep timestamp sorts stable with respect to
             file order.
@@ -54,7 +57,6 @@ class Event:
     case_id: str
     activity: str
     timestamp: str | None = None
-    arrival_seq: int = 0
     stream_seq: int | None = None
 
     def __post_init__(self) -> None:
@@ -130,9 +132,9 @@ class ActivityTable:
             self._labels.append(label)
         return code
 
-    def code(self, label: str) -> int | None:
-        """Code for ``label`` or None if it was never interned."""
-        return self._code_of.get(label)
+    def code(self, label: str) -> int:
+        """Code for ``label``, or :data:`UNKNOWN` if it was never interned."""
+        return self._code_of.get(label, UNKNOWN)
 
     def label(self, code: int) -> str:
         return self._labels[code]
@@ -165,7 +167,7 @@ def parse_event_log(text: str) -> list[Trace]:
 
     The header must be ``case,activity,timestamp`` (or ``case,activity``).
     Events are grouped by case id in order of first appearance; within a
-    case they keep file order and get ``arrival_seq`` 0, 1, 2, ...
+    case they keep file order.
 
     Raises:
         ParseError: on a bad header, wrong column count, or empty
@@ -198,13 +200,11 @@ def parse_event_log(text: str) -> list[Trace]:
             raise ParseError("empty case id", line_no=line_no)
         if not activity:
             raise ParseError("empty activity", line_no=line_no)
-        events = by_case.setdefault(case_id, [])
-        events.append(
+        by_case.setdefault(case_id, []).append(
             Event(
                 case_id=case_id,
                 activity=activity,
                 timestamp=timestamp or None,
-                arrival_seq=len(events),
                 stream_seq=stream_seq,
             )
         )

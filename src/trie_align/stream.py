@@ -180,11 +180,6 @@ class Noiser:
         return out
 
 
-def inject_noise(trace: Sequence[str], config: NoiseConfig, alphabet: Sequence[str]) -> list[str]:
-    """One-shot noise injection with a fresh RNG seeded from the config."""
-    return Noiser(config, alphabet).apply(trace)
-
-
 # -- replay ----------------------------------------------------------------
 
 ROUND_ROBIN = "round-robin"
@@ -300,24 +295,26 @@ class EngineSink:
         )
 
 
+_CONNECT_ATTEMPTS = 3
+_CONNECT_RETRY_DELAY = 0.2
+
+
 class TcpSink:
     """Writes frames to a remote newline-delimited JSON endpoint."""
 
-    def __init__(self, host: str, port: int, retries: int = 3, retry_delay: float = 0.2) -> None:
-        last_error: OSError | None = None
-        self._sock: socket.socket | None = None
-        for attempt in range(retries):
+    def __init__(self, host: str, port: int) -> None:
+        for attempt in range(1, _CONNECT_ATTEMPTS + 1):
             try:
-                self._sock = socket.create_connection((host, port), timeout=10.0)
+                sock = socket.create_connection((host, port), timeout=10.0)
                 break
             except OSError as exc:
-                last_error = exc
-                time.sleep(retry_delay)
-        if self._sock is None:
-            raise ConnectionError(
-                f"could not connect to {host}:{port} after {retries} attempts: {last_error}"
-            )
-        self._file = self._sock.makefile("rw", encoding="utf-8", newline="\n")
+                if attempt == _CONNECT_ATTEMPTS:
+                    raise ConnectionError(
+                        f"could not connect to {host}:{port} after {attempt} attempts: {exc}"
+                    ) from exc
+                time.sleep(_CONNECT_RETRY_DELAY)
+        self._sock: socket.socket | None = sock
+        self._file = sock.makefile("rw", encoding="utf-8", newline="\n")
 
     def send(self, frame: StreamFrame) -> None:
         self._file.write(frame.to_json_line() + "\n")

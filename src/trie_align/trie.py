@@ -183,8 +183,8 @@ class Trie:
         and have a child labeled ``next_code``.
 
         Node ids in preorder, which within one level is breadth-first
-        order. Empty for a pair no edge carries, including codes interned
-        after the trie was built.
+        order. Empty for a pair no edge carries, including any pair with
+        the code of an activity the trie lacks.
         """
         bucket = self.buckets.get((code, next_code))
         if bucket is None:

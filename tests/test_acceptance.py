@@ -63,7 +63,7 @@ def _generated_proxy(n_traces: int, alphabet_size: int, min_len: int, max_len: i
 def test_c1_state_buffer_evolution_fixture(workflow_trie):
     """Duplicated-activity trace reproduces the pinned buffer evolution exactly."""
     started = time.perf_counter()
-    engine = Engine(EngineConfig(trie=workflow_trie, decay=DecayPolicy.fixed(2)))
+    engine = Engine(EngineConfig(trie=workflow_trie, decay=DecayPolicy(df=0, min_dt=2)))
     case = "fixture"
 
     expected = {
@@ -100,7 +100,7 @@ def test_c1_state_buffer_evolution_fixture(workflow_trie):
 
 def test_c2_prefix_and_complete_alignment_fixture(workflow_trie):
     """Best prefix cost 1 with a pinned alignment; completion costs 2."""
-    engine = Engine(EngineConfig(trie=workflow_trie, decay=DecayPolicy.fixed(2)))
+    engine = Engine(EngineConfig(trie=workflow_trie, decay=DecayPolicy(df=0, min_dt=2)))
     for activity in "abbc":
         engine.process("fixture", activity)
     best = engine.best_state("fixture")
@@ -122,7 +122,7 @@ def test_c2_prefix_and_complete_alignment_fixture(workflow_trie):
 
 def test_c3_discounted_decay_fixture():
     """Pinned worked values of the discounted decay formula."""
-    policy = DecayPolicy.discounted(df=0.3, min_dt=3)
+    policy = DecayPolicy(df=0.3, min_dt=3)
     values = (decay_time(100, 1, policy), decay_time(100, 50, policy), decay_time(100, 90, policy))
     ok = values == (30, 15, 3)
     _report("C3 discounted decay worked values", ok, f"{values}")
@@ -164,7 +164,7 @@ def test_c5_c6_oracle_soundness_and_buffer_bound(workflow_trie):
     bound_violations = 0
     checked_enum = 0
 
-    policies = [DecayPolicy.fixed(2), DecayPolicy.discounted()]
+    policies = [DecayPolicy(df=0, min_dt=2), DecayPolicy()]
     for index in range(1000):
         trace = [rng.choice(symbols) for _ in range(rng.randrange(1, 13))]
         oracle_costs = optimal_prefix_costs(trace, workflow_trie)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from trie_align import (
+    UNKNOWN,
     Alignment,
     DecayPolicy,
     Engine,
@@ -60,7 +61,7 @@ class TestCost:
 
 class TestCompleteAlignment:
     def _engine(self, trie):
-        return Engine(EngineConfig(trie=trie, decay=DecayPolicy.fixed(2)))
+        return Engine(EngineConfig(trie=trie, decay=DecayPolicy(df=0, min_dt=2)))
 
     def test_extends_with_shortest_completion(self, workflow_trie):
         engine = self._engine(workflow_trie)
@@ -132,18 +133,26 @@ class TestRendering:
     def test_two_row_text(self, workflow_trie):
         table = workflow_trie.alphabet
         alignment = Alignment(moves_for(table, "s:a s:b l:b s:c m:e"), kind="complete")
-        text = render_text(alignment, table.label)
+        text = render_text(alignment, "abbc", table.label)
         trace_row, model_row = text.splitlines()
         assert trace_row == "trace | a b b  c >>"
         assert model_row == "model | a b >> c e"
 
     def test_json_pairs(self, workflow_trie):
         table = workflow_trie.alphabet
-        alignment = Alignment(moves_for(table, "s:a l:b"))
-        assert alignment_pairs(alignment, table.label) == [
+        alignment = Alignment(moves_for(table, "s:a l:b") + (log_move(UNKNOWN),))
+        assert alignment_pairs(alignment, ["a", "b", "zz"], table.label) == [
             {"log": "a", "model": "a"},
             {"log": "b", "model": None},
+            {"log": "zz", "model": None},
         ]
+
+    def test_observed_labels_must_pair_with_log_moves(self, workflow_trie):
+        table = workflow_trie.alphabet
+        alignment = Alignment(moves_for(table, "s:a l:b"))
+        for observed in ("a", "abc"):
+            with pytest.raises(ValueError):
+                alignment_pairs(alignment, observed, table.label)
 
     def test_kind_is_checked(self):
         with pytest.raises(ValueError):

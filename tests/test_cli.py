@@ -253,13 +253,24 @@ class TestCheck:
 
     def test_records_render_stream_only_labels(self, trie_file, tmp_path):
         log = tmp_path / "log.csv"
-        log.write_text("case,activity\nc1,x\n")
+        log.write_text("case,activity\nc1,x\nc2,x\nc2,a\nc2,y\nc2,b\n")
         records = tmp_path / "records.jsonl"
         argv = ["check", "--trie", str(trie_file), "--log", str(log), "--records", str(records)]
         assert main(argv) == 0
-        (record,) = [json.loads(ln) for ln in records.read_text().splitlines()]
+        record, *rest = [json.loads(ln) for ln in records.read_text().splitlines()]
         assert record["activity"] == "x"
         assert record["alignment"] == [{"log": "x", "model": None}]
+        # Two stream-only labels share one code; each record still shows
+        # the case's own labels in trace order.
+        for seq, later in enumerate(rest, 1):
+            logs = [pair["log"] for pair in later["alignment"] if pair["log"] is not None]
+            assert logs == list("xayb"[:seq])
+        assert rest[-1]["alignment"] == [
+            {"log": "x", "model": None},
+            {"log": "a", "model": "a"},
+            {"log": "y", "model": None},
+            {"log": "b", "model": "b"},
+        ]
 
     def test_unwritable_records_exits_2(self, trie_file, tmp_path, capsys):
         log = tmp_path / "log.csv"
@@ -644,7 +655,7 @@ class TestCheckSimulateConsistency:
                 "--json",
             ],
         )
-        engine = Engine(EngineConfig(trie=trie, decay=DecayPolicy.fixed(2)))
+        engine = Engine(EngineConfig(trie=trie, decay=DecayPolicy(df=0, min_dt=2)))
         from trie_align import parse_event_log
 
         for trace in parse_event_log(log.read_text()):

@@ -5,12 +5,14 @@ import itertools
 import pytest
 
 from trie_align import (
+    UNKNOWN,
     DecayPolicy,
     Engine,
     EngineConfig,
     UnknownCaseError,
     decay_time,
     expand_model_moves,
+    log_move,
     serialize_trie,
     sync_move,
 )
@@ -21,26 +23,26 @@ from .conftest import labelize_moves, snapshot_case
 
 
 def fixed_engine(trie, value=2):
-    return Engine(EngineConfig(trie=trie, decay=DecayPolicy.fixed(value)))
+    return Engine(EngineConfig(trie=trie, decay=DecayPolicy(df=0, min_dt=value)))
 
 
 class TestDecayTime:
     def test_discounted_worked_values(self):
-        policy = DecayPolicy.discounted(df=0.3, min_dt=3)
+        policy = DecayPolicy(df=0.3, min_dt=3)
         assert decay_time(100, 1, policy) == 30
         assert decay_time(100, 50, policy) == 15
         assert decay_time(100, 90, policy) == 3
 
     def test_floor_covers_old_cases(self):
-        policy = DecayPolicy.discounted(df=0.3, min_dt=3)
+        policy = DecayPolicy(df=0.3, min_dt=3)
         assert decay_time(100, 500, policy) == 3
 
     def test_fixed_ignores_index(self):
-        policy = DecayPolicy.fixed(2)
+        policy = DecayPolicy(df=0, min_dt=2)
         assert [decay_time(100, i, policy) for i in (0, 1, 99)] == [2, 2, 2]
 
     def test_result_is_at_least_one(self):
-        policy = DecayPolicy.discounted(df=0.001, min_dt=1)
+        policy = DecayPolicy(df=0.001, min_dt=1)
         assert decay_time(5, 4, policy) == 1
 
     def test_overflow_below_the_floor_is_the_floor(self):
@@ -61,7 +63,7 @@ class TestDecayTime:
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
-            DecayPolicy.fixed(0)
+            DecayPolicy(df=0, min_dt=0)
         with pytest.raises(ValueError):
             DecayPolicy(df=-1.0)
         with pytest.raises(ValueError):
@@ -272,7 +274,7 @@ class TestQueries:
             engine.process("c1", activity)
         assert serialize_trie(workflow_trie) == before
         assert len(workflow_trie.alphabet) == 5
-        assert engine.alphabet.labels() == [*"abcde", "x", "prüfen"]
+        assert engine.best_state("c1").moves() == (log_move(UNKNOWN), log_move(UNKNOWN))
 
     def test_duplicate_b_costs_one(self, workflow_trie):
         engine = fixed_engine(workflow_trie)

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from trie_align import (
+    UNKNOWN,
     ActivityTable,
     Event,
     ParseError,
@@ -32,11 +36,6 @@ class TestParseEventLog:
         assert traces[1].case_id == "2"
         assert traces[1].activities == ("a", "b")
 
-    def test_arrival_seq_is_gap_free_per_case(self):
-        traces = parse_event_log(SAMPLE_LOG)
-        for trace in traces:
-            assert [ev.arrival_seq for ev in trace.events] == list(range(len(trace)))
-
     def test_empty_body_yields_empty_list(self):
         assert parse_event_log("") == []
         assert parse_event_log("case,activity,timestamp\n") == []
@@ -46,7 +45,6 @@ class TestParseEventLog:
         traces = parse_event_log(text)
         assert len(traces) == 1
         assert traces[0].activities == ("a", "a", "a")
-        assert [ev.arrival_seq for ev in traces[0].events] == [0, 1, 2]
 
     def test_timestamp_column_is_optional(self):
         traces = parse_event_log("case,activity\n1,a\n")
@@ -119,12 +117,28 @@ class TestActivityTable:
         code = table.intern("a")
         assert table.label(code) == "a"
         assert table.code("a") == code
-        assert table.code("zzz") is None
+        assert table.code("zzz") == UNKNOWN
 
     def test_labels_in_code_order(self):
         table = ActivityTable(["x", "y"])
         assert table.labels() == ["x", "y"]
         assert "x" in table
+
+    def test_only_trie_construction_interns(self):
+        # The trie's table is the package's one label table: nothing past
+        # build_trie adds to it, and no second table grows beside it.
+        package = Path(__file__).resolve().parents[1] / "src" / "trie_align"
+        callers = set()
+        for path in sorted(package.glob("*.py")):
+            for top in ast.parse(path.read_text(encoding="utf-8")).body:
+                for node in ast.walk(top):
+                    if (
+                        isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "intern"
+                    ):
+                        callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+        assert callers == {"events.ActivityTable", "trie.build_trie"}
 
 
 class TestDomainTypes:

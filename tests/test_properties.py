@@ -167,7 +167,7 @@ def test_decay_time_never_grows_with_the_event_index(df, min_dt, avg_leaf_depth,
 
 
 def test_no_state_outlives_its_root_decay_on_a_noisy_stream(workflow_trie):
-    policy = DecayPolicy.discounted(df=1.0, min_dt=1)  # decays 5, 4, 3, 2, 1 on this trie
+    policy = DecayPolicy(df=1.0, min_dt=1)  # decays 5, 4, 3, 2, 1 on this trie
     root_decay = decay_time(workflow_trie.avg_leaf_depth, 0, policy)
     engine = Engine(EngineConfig(trie=workflow_trie, decay=policy))
     issued = set()
@@ -186,16 +186,16 @@ def test_no_state_outlives_its_root_decay_on_a_noisy_stream(workflow_trie):
 def test_engine_invariants_on_random_streams(proxy, trace, decay_mode):
     trie = build_trie(proxy)
     policy = {
-        "fixed2": DecayPolicy.fixed(2),
-        "fixed4": DecayPolicy.fixed(4),
-        "discounted": DecayPolicy.discounted(),
+        "fixed2": DecayPolicy(df=0, min_dt=2),
+        "fixed4": DecayPolicy(df=0, min_dt=4),
+        "discounted": DecayPolicy(),
     }[decay_mode]
     engine = Engine(EngineConfig(trie=trie, decay=policy))
     observed: list[int] = []
     for label in trace:
         costs_before = {s.state_id: s.cost for s in (engine.states("case") if observed else ())}
         result = engine.process("case", label)
-        observed.append(trie.alphabet.intern(label))
+        observed.append(trie.alphabet.code(label))
         states = engine.states("case")
 
         # Decay safety and the per-case buffer bound.
@@ -241,10 +241,10 @@ def test_engine_invariants_on_random_streams(proxy, trace, decay_mode):
 
 
 BEST_STATE_POLICIES = {
-    "fixed1": DecayPolicy.fixed(1),
-    "fixed3": DecayPolicy.fixed(3),
-    "discounted": DecayPolicy.discounted(0.3, 3),
-    "discounted-long": DecayPolicy.discounted(0.6, 2),
+    "fixed1": DecayPolicy(df=0, min_dt=1),
+    "fixed3": DecayPolicy(df=0, min_dt=3),
+    "discounted": DecayPolicy(df=0.3, min_dt=3),
+    "discounted-long": DecayPolicy(df=0.6, min_dt=2),
 }
 
 
@@ -286,8 +286,7 @@ def test_best_state_is_cheapest_new_state_on_seeded_noisy_streams(workflow_trie)
 
 def test_fixed_policy_is_discounted_with_zero_factor():
     for n in range(1, 8):
-        policy = DecayPolicy.fixed(n)
-        assert policy == DecayPolicy(df=0, min_dt=n)
+        policy = DecayPolicy(df=0, min_dt=n)
         for avg_leaf_depth in (0, 3.5, 25.3):
             assert {decay_time(avg_leaf_depth, i, policy) for i in range(60)} == {n}
 
@@ -298,7 +297,7 @@ def test_engine_matches_itself_across_runs(proxy, trace):
     trie = build_trie(proxy)
 
     def run():
-        engine = Engine(EngineConfig(trie=trie, decay=DecayPolicy.fixed(3)))
+        engine = Engine(EngineConfig(trie=trie, decay=DecayPolicy(df=0, min_dt=3)))
         out = []
         for label in trace:
             result = engine.process("case", label)
@@ -328,8 +327,6 @@ def test_event_log_round_trip(rows):
     assert [(t.case_id, t.activities) for t in again] == [
         (t.case_id, t.activities) for t in traces
     ]
-    for trace in traces:
-        assert [ev.arrival_seq for ev in trace.events] == list(range(len(trace)))
 
 
 def test_engine_cost_dominates_oracle_on_seeded_corpus(workflow_trie):
@@ -342,13 +339,13 @@ def test_engine_cost_dominates_oracle_on_seeded_corpus(workflow_trie):
         engine = Engine(
             EngineConfig(
                 trie=workflow_trie,
-                decay=DecayPolicy.fixed(rng.randrange(1, 5)),
+                decay=DecayPolicy(df=0, min_dt=rng.randrange(1, 5)),
             )
         )
         observed: list[int] = []
         for label in trace:
             engine.process("c", label)
-            observed.append(workflow_trie.alphabet.intern(label))
+            observed.append(workflow_trie.alphabet.code(label))
             assert engine.conformance_cost("c") >= optimal_prefix(observed, workflow_trie).cost
             stats = engine.case_stats("c")
             assert stats.peak_states <= limit_factor * stats.max_decay_issued

@@ -21,9 +21,10 @@ from trie_align import (
     ProcessResult,
     StreamFrame,
     StreamServer,
-    inject_noise,
+    build_trie,
     parse_event_log,
     parse_frame,
+    parse_proxy_log,
 )
 from trie_align.stream import (
     EngineSink,
@@ -245,7 +246,7 @@ class TestReplay:
         assert not sink.window
 
     def test_engine_sink_metrics(self, workflow_trie):
-        engine = Engine(EngineConfig(trie=workflow_trie, decay=DecayPolicy.fixed(2)))
+        engine = Engine(EngineConfig(trie=workflow_trie, decay=DecayPolicy(df=0, min_dt=2)))
         sink = EngineSink(engine)
         metrics = replay(sample_traces(), sink)
         assert RUN_METRICS_KEYS <= metrics.to_dict().keys()
@@ -273,10 +274,10 @@ class TestReplay:
 class TestNoise:
     def test_zero_level_is_identity(self):
         trace = list("abcde")
-        assert inject_noise(trace, NoiseConfig(level=0.0, seed=1), "abcde") == trace
+        assert Noiser(NoiseConfig(level=0.0, seed=1), "abcde").apply(trace) == trace
 
     def test_forced_deletion_empties_trace(self):
-        out = inject_noise(["a", "b"], NoiseConfig(level=1.0, ops=("delete",), seed=3), "ab")
+        out = Noiser(NoiseConfig(level=1.0, ops=("delete",), seed=3), "ab").apply(["a", "b"])
         assert out == []
 
     def test_seeded_runs_are_bit_reproducible(self):
@@ -304,7 +305,7 @@ class TestNoise:
         assert any(symbol.startswith("noise_") for symbol in out)
 
     def test_swap_exchanges_neighbors(self):
-        out = inject_noise(["a", "b"], NoiseConfig(level=1.0, ops=("swap",), seed=5), "ab")
+        out = Noiser(NoiseConfig(level=1.0, ops=("swap",), seed=5), "ab").apply(["a", "b"])
         assert out == ["b", "a"]
 
     def test_level_validation(self):
@@ -318,7 +319,7 @@ class TestNoise:
 
 @pytest.fixture
 def running_server(workflow_trie):
-    engine = Engine(EngineConfig(trie=workflow_trie, decay=DecayPolicy.fixed(2)))
+    engine = Engine(EngineConfig(trie=workflow_trie, decay=DecayPolicy(df=0, min_dt=2)))
     server = StreamServer(engine, port=0)
     server.start()
     yield server
@@ -352,7 +353,7 @@ class TestStreamServer:
             + "".join(f"c{i},{a}\n" for i in range(40) for a in noiser.apply(list("abdbce")))
         )
         frames = interleave_round_robin(traces)
-        policy = DecayPolicy.discounted()
+        policy = DecayPolicy()
         sink = EngineSink(Engine(EngineConfig(trie=workflow_trie, decay=policy)))
         replayed = stream_mod.drive(frames, sink)
         assert replayed.computation_micros == sink.computation
@@ -494,18 +495,25 @@ class TestStreamServer:
         assert report["events_processed"] == 4 * n_cases
         assert report["frames_malformed"] == 0
 
-    def test_multibyte_label_split_across_reads(self, running_server):
+    def test_multibyte_label_split_across_reads(self):
+        # The trie knows the label, so a mangled decode would cost a log move.
+        trie = build_trie(parse_proxy_log("prüfen\n"))
+        server = StreamServer(Engine(EngineConfig(trie=trie)), port=0)
+        server.start()
         line = '{"case":"u1","activity":"prüfen"}\n'.encode("utf-8")
         cut = line.index("ü".encode("utf-8")) + 1  # inside the two-byte character
-        with socket.create_connection(running_server.address, timeout=5.0) as client:
-            client.sendall(line[:cut])
-            time.sleep(0.05)  # the server reads the first part on its own
-            client.sendall(line[cut:] + b'{"cmd":"metrics"}\n')
-            with client.makefile("r", encoding="utf-8") as file:
-                metrics = json.loads(file.readline())
+        try:
+            with socket.create_connection(server.address, timeout=5.0) as client:
+                client.sendall(line[:cut])
+                time.sleep(0.05)  # the server reads the first part on its own
+                client.sendall(line[cut:] + b'{"cmd":"metrics"}\n')
+                with client.makefile("r", encoding="utf-8") as file:
+                    metrics = json.loads(file.readline())
+        finally:
+            server.stop()
         assert metrics["events_processed"] == 1
         assert metrics["frames_malformed"] == 0
-        assert running_server.engine.alphabet.code("prüfen") is not None
+        assert server.engine.conformance_cost("u1") == 0
 
     def test_last_line_without_newline_is_processed(self, running_server):
         with socket.create_connection(running_server.address, timeout=5.0) as client:
@@ -577,6 +585,10 @@ class TestStreamServer:
         assert metrics["events_processed"] == 4
         assert running_server.engine.conformance_cost("c9") == 0
 
-    def test_tcp_sink_connect_failure_reports_retries(self):
+    def test_tcp_sink_connect_failure_reports_retries(self, monkeypatch):
+        monkeypatch.setattr(stream_mod, "_CONNECT_RETRY_DELAY", 0.01)
+        pauses: list[float] = []
+        monkeypatch.setattr(stream_mod.time, "sleep", pauses.append)
         with pytest.raises(ConnectionError, match="3 attempts"):
-            TcpSink("127.0.0.1", 9, retries=3, retry_delay=0.01)
+            TcpSink("127.0.0.1", 9)
+        assert pauses == [0.01, 0.01]  # none after the last attempt
