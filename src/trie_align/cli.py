@@ -247,15 +247,15 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     total_engine = 0
     for index, trace in enumerate(traces):
         codes = [trie.alphabet.code(a) for a in trace.activities]
-        result = compute(codes, trie)
-        row = {"case_id": trace.case_id, "optimal_cost": result.cost}
+        optimal = compute(codes, trie)
+        row = {"case_id": trace.case_id, "optimal_cost": optimal}
         if engine_rows is not None:
             engine_cost = engine_rows[index][f"{args.mode}_cost"]
             row["engine_cost"] = engine_cost
-            row["error"] = engine_cost - result.cost
-            total_opt += result.cost
+            row["error"] = engine_cost - optimal
+            total_opt += optimal
             total_engine += engine_cost
-            if engine_cost == result.cost:
+            if engine_cost == optimal:
                 exact_matches += 1
         per_trace.append(row)
 

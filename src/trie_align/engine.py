@@ -5,7 +5,9 @@ node with the prefix alignment that led there, the pending (unconsumed)
 event suffix, the alignment cost, and a decay counter. Per arriving event:
 
 1. Age: every stored state's decay is decremented; states reaching zero
-   are evicted. States created by the current call are exempt.
+   are evicted. A new case's root enters with one extra event of decay,
+   which its first ageing takes; the steps below create states after
+   the ageing.
 2. Synchronous phase: every survivor with an empty suffix whose node has a
    child labeled with the event spawns a synchronous successor at no extra
    cost. If at least one exists, survivors just buffer the event into
@@ -301,7 +303,7 @@ def expand_model_moves(trie: Trie, state: State, code: int, decay: int) -> list[
 
 def _rescue_key(state: State) -> tuple:
     # Prefer states that already consumed every event, then cheapest.
-    return (1 if state.suffix else 2, state.cost, state.moves_len, state.node, state.state_id)
+    return (1 if state.suffix else 0, state.cost, state.moves_len, state.node, state.state_id)
 
 
 def _best_key(state: State) -> tuple:
@@ -343,12 +345,11 @@ class Engine:
 
         started = time.perf_counter_ns()
         entry = self._buffer.get(case_id)
-        fresh_root: State | None = None
         if entry is None:
             entry = _CaseEntry()
             self._buffer[case_id] = entry
-            fresh_root = State(0, ROOT, [], 0, self._root_decay)
-            entry.states.append(fresh_root)
+            # One extra event of life: the ageing below takes it back.
+            entry.states.append(State(0, ROOT, [], 0, self._root_decay + 1))
             entry.next_state_id = 1
             self._total_states += 1
             self.states_created += 1
@@ -356,14 +357,10 @@ class Engine:
         entry.events_seen += 1
         fresh_decay = decay_time(self._avg, entry.events_seen, self.policy)
 
-        # Age: decrement first, evict below one. The state created by this
-        # call (a brand-new case's root) is exempt.
+        # Age: decrement first, evict below one.
         states = entry.states
         survivors: list[State] = []
         for s in states:
-            if s is fresh_root:
-                survivors.append(s)
-                continue
             s.decay -= 1
             if s.decay >= 1:
                 survivors.append(s)

@@ -15,9 +15,9 @@ position ``i``::
 
 with ``cost[root][0] = 0``, ``cost[n][0] = level(n)`` and
 ``cost[root][i] = i``. The mismatch (substitution) branch costs a log
-move plus a model move and is never strictly cheaper than composing the
-two single-move branches, so reconstruction only ever uses synchronous,
-model, and log steps, preferred in that order.
+move plus a model move, no less than composing the two single-move
+branches. Column ``i`` depends only on column ``i - 1``, so the DP holds
+two columns at a time and yields costs, not alignments.
 
 The optimal prefix cost is the minimum of the last column over all nodes;
 the complete cost additionally pays each node's remaining distance to an
@@ -26,107 +26,36 @@ end node. All functions are pure.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Iterator, Sequence
 
-from .alignment import Alignment, Move, log_move, model_move, sync_move
 from .trie import ROOT, Trie
-
-_SYNC, _MODEL, _LOG = 1, 2, 3
 
 
 class BoundTooSmallError(ValueError):
     """Raised when the enumeration bound cannot certify an optimal cost."""
 
 
-class OracleResult(NamedTuple):
-    cost: int
-    alignment: Alignment
-
-
-def _dp_table(trace: Sequence[int], trie: Trie) -> tuple[list[list[int]], list[bytearray]]:
-    """All DP columns and backpointers; column i covers trace[:i]."""
+def _columns(trace: Sequence[int], trie: Trie) -> Iterator[list[int]]:
+    """DP columns 0 to ``len(trace)``; column i covers trace[:i]."""
     n = trie.node_count
     parents = trie.parents
     labels = trie.labels
-
-    col0 = [trie.levels[node] for node in range(n)]
-    columns = [col0]
-    pointers = [bytearray(n)]  # column 0 is all model moves, no pointers needed
-
-    prev = col0
-    for i in range(1, len(trace) + 1):
-        symbol = trace[i - 1]
-        cur = [0] * n
-        back = bytearray(n)
-        cur[ROOT] = i
-        back[ROOT] = _LOG
+    prev = trie.levels  # column 0 is all model moves
+    yield prev
+    for i, symbol in enumerate(trace, 1):
+        cur = [i] * n  # only the root keeps i: log moves all the way
         for node in range(1, n):  # parent ids precede child ids
             parent = parents[node]
-            if labels[node] == symbol:
-                best = prev[parent]
-                tag = _SYNC
-            else:
-                best = prev[parent] + 2  # log+model composition bound
-                tag = _MODEL
+            best = prev[parent] if labels[node] == symbol else prev[parent] + 2
             via_model = cur[parent] + 1
             if via_model < best:
                 best = via_model
-                tag = _MODEL
             via_log = prev[node] + 1
             if via_log < best:
                 best = via_log
-                tag = _LOG
             cur[node] = best
-            back[node] = tag
-        columns.append(cur)
-        pointers.append(back)
+        yield cur
         prev = cur
-    return columns, pointers
-
-
-def _reconstruct(
-    trace: Sequence[int],
-    trie: Trie,
-    pointers: list[bytearray],
-    end_node: int,
-) -> list[Move]:
-    moves: list[Move] = []
-    node, i = end_node, len(trace)
-    while node != ROOT or i > 0:
-        if node == ROOT:
-            moves.append(log_move(trace[i - 1]))
-            i -= 1
-            continue
-        tag = pointers[i][node] if i > 0 else _MODEL
-        if tag == _SYNC:
-            moves.append(sync_move(trace[i - 1]))
-            node = trie.parents[node]
-            i -= 1
-        elif tag == _MODEL:
-            moves.append(model_move(trie.labels[node]))
-            node = trie.parents[node]
-        else:
-            moves.append(log_move(trace[i - 1]))
-            i -= 1
-    moves.reverse()
-    return moves
-
-
-def optimal_prefix(trace: Sequence[int], trie: Trie) -> OracleResult:
-    """True optimal prefix-alignment of ``trace`` against the trie.
-
-    The model path may stop at any node (including the root). An empty
-    trace costs zero with an empty alignment. Ties between end nodes fall
-    to the smaller node id, and reconstruction prefers synchronous over
-    model over log steps, so the returned alignment is deterministic.
-    """
-    if not trace:
-        return OracleResult(0, Alignment((), kind="prefix"))
-    columns, pointers = _dp_table(trace, trie)
-    last = columns[-1]
-    end_node = min(range(trie.node_count), key=lambda n: (last[n], n))
-    moves = _reconstruct(trace, trie, pointers, end_node)
-    return OracleResult(last[end_node], Alignment(tuple(moves), kind="prefix"))
 
 
 def optimal_prefix_costs(trace: Sequence[int], trie: Trie) -> list[int]:
@@ -134,22 +63,23 @@ def optimal_prefix_costs(trace: Sequence[int], trie: Trie) -> list[int]:
 
     Entry ``i`` is the optimal cost for ``trace[:i]``; entry 0 is always 0.
     """
-    if not trace:
-        return [0]
-    columns, _ = _dp_table(trace, trie)
-    return [min(column) for column in columns]
+    return [min(column) for column in _columns(trace, trie)]
 
 
-def optimal_complete(trace: Sequence[int], trie: Trie) -> OracleResult:
-    """True optimal complete alignment: the model path must reach an end node."""
-    columns, pointers = _dp_table(trace, trie)
-    last = columns[-1]
-    min_to_end = trie.min_to_end
-    end_node = min(range(trie.node_count), key=lambda n: (last[n] + min_to_end[n], n))
-    moves = _reconstruct(trace, trie, pointers, end_node)
-    moves.extend(model_move(code) for code in trie.min_completion_path(end_node))
-    total = last[end_node] + min_to_end[end_node]
-    return OracleResult(total, Alignment(tuple(moves), kind="complete"))
+def optimal_prefix(trace: Sequence[int], trie: Trie) -> int:
+    """True optimal prefix-alignment cost of ``trace`` against the trie.
+
+    The model path may stop at any node (including the root), so an empty
+    trace costs zero.
+    """
+    return optimal_prefix_costs(trace, trie)[-1]
+
+
+def optimal_complete(trace: Sequence[int], trie: Trie) -> int:
+    """True optimal complete-alignment cost: the model path must reach an end node."""
+    for last in _columns(trace, trie):
+        pass
+    return min(cost + rest for cost, rest in zip(last, trie.min_to_end))
 
 
 def exhaustive_prefix(trace: Sequence[int], trie: Trie, depth_bound: int) -> int:

@@ -343,8 +343,9 @@ def load_trie(payload: bytes) -> Trie:
 
     Raises:
         TrieFormatError: on a version mismatch or corrupt payload (bad
-            JSON, missing fields, dangling parents, or header counts that
-            disagree with the node table).
+            JSON, missing fields, empty, non-string or repeated activity
+            labels, dangling parents, or header counts that disagree with
+            the node table).
     """
     try:
         doc = json.loads(payload.decode("utf-8"))
@@ -356,12 +357,17 @@ def load_trie(payload: bytes) -> Trie:
     if version != _FORMAT_VERSION:
         raise TrieFormatError(f"unsupported trie format version: {version!r}")
     try:
-        alphabet = ActivityTable(list(doc["alphabet"]))
+        names = list(doc["alphabet"])
         rows = doc["nodes"]
         node_count = int(doc["node_count"])
         end_count = int(doc["end_count"])
     except (KeyError, TypeError, ValueError) as exc:
         raise TrieFormatError(f"corrupt trie payload: {exc}") from exc
+    if not all(isinstance(name, str) and name for name in names):
+        raise TrieFormatError("corrupt trie payload: activity labels must be non-empty strings")
+    alphabet = ActivityTable(names)
+    if len(alphabet) != len(names):
+        raise TrieFormatError("corrupt trie payload: duplicate activity label")
 
     if node_count != len(rows) + 1:
         raise TrieFormatError(

@@ -329,6 +329,14 @@ class TestDecaySafetyAndRescue:
         assert best.cost == 0
         assert labelize_moves(workflow_trie, best.moves()) == [("a", "a"), ("b", "b")]
 
+    def test_rescue_prefers_a_state_that_consumed_every_event(self, workflow_trie, workflow_proxy):
+        # Decay 1 expires every state at the next event, so every event
+        # after a case's first is a rescue.
+        engine = fixed_engine(workflow_trie, value=1)
+        for i, trace in enumerate(workflow_proxy.traces):
+            results = [engine.process(f"case-{i}", activity) for activity in trace]
+            assert [(r.sync, r.best_cost) for r in results] == [(True, 0)] * len(trace)
+
 
 class TestDeterminismAndEmission:
     def test_identical_streams_build_identical_buffers(self, workflow_trie, workflow_proxy):

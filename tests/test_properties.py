@@ -220,7 +220,7 @@ def test_engine_invariants_on_random_streams(proxy, trace, decay_mode):
 
         # Approximation sanity: never below the true optimum; exact (zero)
         # when the observed prefix is itself a trie path.
-        optimal = optimal_prefix(observed, trie).cost
+        optimal = optimal_prefix(observed, trie)
         assert best.cost >= optimal
         if trie.walk(observed) is not None:
             assert best.cost == 0
@@ -346,7 +346,7 @@ def test_engine_cost_dominates_oracle_on_seeded_corpus(workflow_trie):
         for label in trace:
             engine.process("c", label)
             observed.append(workflow_trie.alphabet.code(label))
-            assert engine.conformance_cost("c") >= optimal_prefix(observed, workflow_trie).cost
+            assert engine.conformance_cost("c") >= optimal_prefix(observed, workflow_trie)
             stats = engine.case_stats("c")
             assert stats.peak_states <= limit_factor * stats.max_decay_issued
             assert all(s.decay >= 1 for s in engine.states("c"))

@@ -190,6 +190,13 @@ class TestSerialization:
         with pytest.raises(TrieFormatError):
             load_trie(json.dumps(doc).encode())
 
+    @pytest.mark.parametrize("alphabet", [["b", "a", "a"], [5, 6], ["a", ""]])
+    def test_bad_alphabet_rejected(self, alphabet):
+        doc = json.loads(serialize_trie(build_trie(ProxyLog((("a", "b"),)))))
+        doc["alphabet"] = alphabet
+        with pytest.raises(TrieFormatError, match="activity label"):
+            load_trie(json.dumps(doc).encode())
+
 
 def random_trie():
     """Seeded trie whose traces include prefixes of others (ends with children)."""
