@@ -55,7 +55,6 @@ from .stream import (
     NoiseConfig,
     Noiser,
     RunMetrics,
-    StreamFrame,
     StreamServer,
     parse_frame,
     replay,
@@ -82,7 +81,6 @@ __all__ = [
     "ProxyLog",
     "RunMetrics",
     "State",
-    "StreamFrame",
     "StreamServer",
     "Trace",
     "Trie",

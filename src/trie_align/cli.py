@@ -22,12 +22,11 @@ from pathlib import Path
 from . import oracle as oracle_mod
 from .alignment import alignment_pairs
 from .engine import DecayPolicy, Engine, EngineConfig
-from .events import ParseError, parse_event_log, parse_proxy_log
+from .events import Event, ParseError, parse_event_log, parse_proxy_log
 from .stream import (
     EngineSink,
     NoiseConfig,
     Noiser,
-    StreamFrame,
     TcpSink,
     drive,
     serve as serve_stream,
@@ -53,7 +52,8 @@ def _fail(message: str, code: int) -> int:
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    # utf-8-sig drops a leading byte-order mark, which would otherwise join the first label.
+    return Path(path).read_text(encoding="utf-8-sig")
 
 
 def _load_trie_file(path: str) -> Trie:
@@ -321,7 +321,7 @@ def simulate_stream(
     """Generate an endless interleaved stream of noisy model traces.
 
     Traces are root-to-end paths of the trie sampled with replacement;
-    each sampled trace becomes a fresh case. Yields frames until the event
+    each sampled trace becomes a fresh case. Yields events until the event
     budget or the duration runs out. Fully deterministic for a fixed seed
     when bounded by ``max_events``.
     """
@@ -347,7 +347,7 @@ def simulate_stream(
             if activities:
                 active.append((f"sim-{case_counter}", activities, 0))
         case_id, activities, pos = active.pop(0)
-        yield StreamFrame(case_id, activities[pos])
+        yield Event(case_id, activities[pos])
         emitted += 1
         if pos + 1 < len(activities):
             active.append((case_id, activities, pos + 1))
@@ -363,14 +363,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise ValueError("--rate must be a positive number of events per second")
         if args.max_events is not None and args.max_events < 1:
             raise ValueError("--max-events must be at least 1")
-        NoiseConfig(level=args.noise)  # the stream checks it only at its first frame
+        NoiseConfig(level=args.noise)  # the stream checks it only at its first event
         trie = _load_trie_file(args.trie)
         engine = Engine(EngineConfig(trie=trie, decay=_decay_policy(args)))
         address = _parse_addr(args.connect) if args.connect else None
     except (OSError, TrieFormatError, ValueError) as exc:
         return _fail(str(exc), EXIT_INPUT)
 
-    frames = simulate_stream(
+    events = simulate_stream(
         trie,
         noise_level=args.noise,
         seed=args.seed,
@@ -386,7 +386,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             return _fail(str(exc), EXIT_CONNECT)
         started = time.perf_counter()
         try:
-            sent = drive(frames, sink, args.rate).events_processed
+            sent = drive(events, sink, args.rate).events_processed
             server_metrics = sink.request_metrics()
         except OSError as exc:
             return _fail(f"connection to {args.connect} lost: {exc}", EXIT_CONNECT)
@@ -397,7 +397,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         _emit(report, args.json, [f"sent {sent} frames", f"server metrics: {server_metrics}"])
         return EXIT_OK
 
-    metrics = drive(frames, EngineSink(engine), args.rate)
+    metrics = drive(events, EngineSink(engine), args.rate)
     completed_costs = [engine.conformance_cost(case_id) for case_id in engine.case_ids()]
     report = {
         **metrics.to_dict(),

@@ -303,7 +303,8 @@ def expand_model_moves(trie: Trie, state: State, code: int, decay: int) -> list[
 
 def _rescue_key(state: State) -> tuple:
     # Prefer states that already consumed every event, then cheapest.
-    return (1 if state.suffix else 0, state.cost, state.moves_len, state.node, state.state_id)
+    # A case's states are in creation order, so min() keeps the oldest on a tie.
+    return (1 if state.suffix else 0, state.cost, state.moves_len, state.node)
 
 
 def _best_key(state: State) -> tuple:
@@ -394,17 +395,26 @@ class Engine:
 
         synced = bool(new_states)
         if not synced:
+            # Keep only the cheapest candidates, one state per trie node: a
+            # strictly cheaper candidate clears the kept ones; on a node
+            # clash the shorter alignment wins, first come first kept on
+            # equal length. A replaced state keeps its node's first position
+            # in the dict, so the order stays generation order.
             min_cost: float | int = UNBOUNDED_COST
-            interim: list[State] = []
+            per_node: dict[int, State] = {}
             for s in generation:
                 pending_len = len(s.suffix) + 1
                 log_cost = s.cost + pending_len
+                cands = expand_model_moves(self.trie, s, code, fresh_decay)
+                # The log move is built only when it can be admitted, and
+                # ranks before this state's model moves.
                 if log_cost <= min_cost:
                     link = s._link
                     for x in s.suffix:
                         link = (link, (x, None))
                     link = (link, (code, None))
-                    interim.append(
+                    cands.insert(
+                        0,
                         State(
                             state_id=-1,
                             node=s.node,
@@ -414,25 +424,17 @@ class Engine:
                             link=link,
                             moves_len=s.moves_len + pending_len,
                             parent_id=s.state_id,
-                        )
+                        ),
                     )
-                    min_cost = log_cost
-                for cand in expand_model_moves(self.trie, s, code, fresh_decay):
-                    if cand.cost <= min_cost:
-                        interim.append(cand)
+                for cand in cands:
+                    if cand.cost < min_cost:
                         min_cost = cand.cost
-
-            # Keep only the cheapest candidates, one state per trie node;
-            # on a node clash the shorter alignment wins, first come first
-            # kept on equal length. A replaced state keeps its node's first
-            # position in the dict, so the order stays generation order.
-            per_node: dict[int, State] = {}
-            for cand in interim:
-                if cand.cost != min_cost:
-                    continue
-                kept = per_node.get(cand.node)
-                if kept is None or cand.moves_len < kept.moves_len:
-                    per_node[cand.node] = cand
+                        per_node.clear()
+                        per_node[cand.node] = cand
+                    elif cand.cost == min_cost:
+                        kept = per_node.get(cand.node)
+                        if kept is None or cand.moves_len < kept.moves_len:
+                            per_node[cand.node] = cand
             new_states = list(per_node.values())
 
         # Admission cap, on both steps: ties must not multiply lineages

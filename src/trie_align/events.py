@@ -1,5 +1,9 @@
 """Event, trace, and proxy-log data model with text parsers.
 
+:class:`Event` is the one event record: CSV rows, wire lines and the
+simulator all yield it, replay sends it as it is, and
+:meth:`Event.to_json_line` writes it as a wire line.
+
 Two file formats are understood:
 
 * Event logs: CSV with header ``case,activity,timestamp`` (the timestamp
@@ -19,6 +23,7 @@ escaping, so labels must not contain commas or newlines.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 #: Code of every activity a table lacks; unlike the root's label, no node has it.
@@ -62,6 +67,13 @@ class Event:
     def __post_init__(self) -> None:
         if not self.activity:
             raise ValueError("event activity must be non-empty")
+
+    def to_json_line(self) -> str:
+        """The event as one wire line: ``case``, ``activity`` and, when set, ``ts``."""
+        doc: dict = {"case": self.case_id, "activity": self.activity}
+        if self.timestamp is not None:
+            doc["ts"] = self.timestamp
+        return json.dumps(doc, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -109,8 +121,9 @@ class ActivityTable:
     """Bidirectional mapping between activity labels and dense codes 0..n-1.
 
     Interning is idempotent: repeated calls for one label return the same
-    code. Mutation is expected to happen on a single ingestion thread per
-    engine instance; lookups are plain dict reads.
+    code. The package interns only while it builds or loads a trie; the
+    engine reads the trie's table, and every label it lacks codes as
+    :data:`UNKNOWN`.
     """
 
     __slots__ = ("_code_of", "_labels")

@@ -2,7 +2,9 @@
 
 Wire protocol: newline-delimited UTF-8 JSON, one frame per line, e.g.
 ``{"case": "17", "activity": "a", "ts": "2022-08-01 15:00"}`` (``ts``
-optional). Two control lines are understood by the server:
+optional). A frame is an :class:`~trie_align.events.Event`, written by
+:meth:`~trie_align.events.Event.to_json_line` and read back by
+:func:`parse_frame`. Two control lines are understood by the server:
 ``{"cmd": "metrics"}`` answers with a metrics report on the same
 connection, ``{"cmd": "shutdown"}`` answers with the final report and
 stops the server. One selector loop thread owns the connections and the
@@ -12,12 +14,12 @@ line is decoded once, by :func:`parse_frame`. Malformed lines (non-UTF-8
 bytes included) are counted, logged, and skipped; they never take the
 engine down.
 
-Replay can drive an in-process engine or a remote TCP endpoint, in
-round-robin or timestamp order, throttled or flat out. Every report of an
-engine run, replay and server alike, comes from one meter,
-:class:`EngineSink`, whose memory does not grow with the stream: its
-latencies only ever count engine processing time; waiting for the
-throttle or the socket is reported as idle time.
+Replay sends the parsed events themselves, uncopied, to an in-process
+engine or a remote TCP endpoint, in round-robin or timestamp order,
+throttled or flat out. Every report of an engine run, replay and server
+alike, comes from one meter, :class:`EngineSink`, whose memory does not
+grow with the stream: its latencies only ever count engine processing
+time; waiting for the throttle or the socket is reported as idle time.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from functools import partial
 from typing import Iterable, Sequence
 
 from .engine import Engine
-from .events import Trace
+from .events import Event, Trace
 
 logger = logging.getLogger("trie_align.stream")
 
@@ -49,23 +51,8 @@ class FrameError(ValueError):
     """Raised for a wire line that is not a valid stream frame."""
 
 
-@dataclass(frozen=True)
-class StreamFrame:
-    """One wire-level event record."""
-
-    case_id: str
-    activity: str
-    timestamp: str | None = None
-
-    def to_json_line(self) -> str:
-        doc: dict = {"case": self.case_id, "activity": self.activity}
-        if self.timestamp is not None:
-            doc["ts"] = self.timestamp
-        return json.dumps(doc, separators=(",", ":"))
-
-
-def parse_frame(line: str) -> StreamFrame | str:
-    """Parse one wire line into a frame, or a control line into its command.
+def parse_frame(line: str) -> Event | str:
+    """Parse one wire line into an event, or a control line into its command.
 
     A control line is any JSON object with a ``cmd`` key.
 
@@ -93,7 +80,7 @@ def parse_frame(line: str) -> StreamFrame | str:
     ts = doc.get("ts")
     if ts is not None and not isinstance(ts, str):
         raise FrameError("'ts' must be a string")
-    return StreamFrame(case_id, activity, ts)
+    return Event(case_id, activity, ts)
 
 
 # -- noise ----------------------------------------------------------------
@@ -216,24 +203,23 @@ class RunMetrics:
         }
 
 
-def interleave_round_robin(traces: Iterable[Trace]) -> list[StreamFrame]:
+def interleave_round_robin(traces: Iterable[Trace]) -> list[Event]:
     """Global order taking one pending event per case per round."""
-    queues = [list(tr.events) for tr in traces]
-    frames: list[StreamFrame] = []
+    queues = [tr.events for tr in traces]
+    order: list[Event] = []
     position = 0
     while True:
         emitted = False
         for events in queues:
             if position < len(events):
-                ev = events[position]
-                frames.append(StreamFrame(ev.case_id, ev.activity, ev.timestamp))
+                order.append(events[position])
                 emitted = True
         if not emitted:
-            return frames
+            return order
         position += 1
 
 
-def interleave_by_timestamp(traces: Iterable[Trace]) -> list[StreamFrame]:
+def interleave_by_timestamp(traces: Iterable[Trace]) -> list[Event]:
     """Global order sorted by timestamp; ties keep original file order."""
     events = [ev for tr in traces for ev in tr.events]
     events.sort(
@@ -243,7 +229,7 @@ def interleave_by_timestamp(traces: Iterable[Trace]) -> list[StreamFrame]:
             ev.stream_seq if ev.stream_seq is not None else 0,
         )
     )
-    return [StreamFrame(ev.case_id, ev.activity, ev.timestamp) for ev in events]
+    return events
 
 
 # Latest per-event latencies the meter keeps for its p50.
@@ -251,7 +237,7 @@ _P50_WINDOW = 65_536
 
 
 class EngineSink:
-    """Feeds frames straight into an in-process engine; :meth:`report` is the one meter.
+    """Feeds events straight into an in-process engine; :meth:`report` is the one meter.
 
     Count, computation (the sum) and max cover every event sent; the p50
     covers the latest ``_P50_WINDOW`` events only, so memory stays fixed
@@ -265,8 +251,8 @@ class EngineSink:
         self.peak = 0.0
         self.window: deque[float] = deque(maxlen=_P50_WINDOW)
 
-    def send(self, frame: StreamFrame) -> None:
-        result = self.engine.process(frame.case_id, frame.activity, frame.timestamp)
+    def send(self, event: Event) -> None:
+        result = self.engine.process(event.case_id, event.activity, event.timestamp)
         micros = result.processing_micros
         self.processed += 1
         self.computation += micros
@@ -300,7 +286,7 @@ _CONNECT_RETRY_DELAY = 0.2
 
 
 class TcpSink:
-    """Writes frames to a remote newline-delimited JSON endpoint."""
+    """Writes events to a remote newline-delimited JSON endpoint, one frame each."""
 
     def __init__(self, host: str, port: int) -> None:
         for attempt in range(1, _CONNECT_ATTEMPTS + 1):
@@ -316,8 +302,8 @@ class TcpSink:
         self._sock: socket.socket | None = sock
         self._file = sock.makefile("rw", encoding="utf-8", newline="\n")
 
-    def send(self, frame: StreamFrame) -> None:
-        self._file.write(frame.to_json_line() + "\n")
+    def send(self, event: Event) -> None:
+        self._file.write(event.to_json_line() + "\n")
         self._file.flush()
 
     def request_metrics(self) -> dict:
@@ -352,19 +338,19 @@ def replay(
 ) -> RunMetrics:
     """Deliver every event exactly once in the chosen global order.
 
-    Interleaves the traces, then runs :func:`drive` over the frames.
+    Interleaves the traces, then runs :func:`drive` over their events.
     """
     if interleave == ROUND_ROBIN:
-        frames = interleave_round_robin(traces)
+        events = interleave_round_robin(traces)
     elif interleave == BY_TIMESTAMP:
-        frames = interleave_by_timestamp(traces)
+        events = interleave_by_timestamp(traces)
     else:
         raise ValueError(f"unknown interleave mode {interleave!r}")
-    return drive(frames, sink, rate)
+    return drive(events, sink, rate)
 
 
-def drive(frames: Iterable[StreamFrame], sink, rate: float | None = None) -> RunMetrics:
-    """Send every frame to ``sink`` in order and measure the run.
+def drive(events: Iterable[Event], sink, rate: float | None = None) -> RunMetrics:
+    """Send every event to ``sink`` in order and measure the run.
 
     ``rate`` throttles to events per second (sleep time counts as idle);
     None streams flat out, and a rate that is not positive raises
@@ -379,14 +365,14 @@ def drive(frames: Iterable[StreamFrame], sink, rate: float | None = None) -> Run
     period = 1.0 / rate if rate else 0.0
     start = time.perf_counter()
     next_due = start
-    for frame in frames:
+    for event in events:
         if period:
             now = time.perf_counter()
             if now < next_due:
                 time.sleep(next_due - now)
                 idle += (time.perf_counter() - now) * 1e6
             next_due += period
-        sink.send(frame)
+        sink.send(event)
         count += 1
     wall = (time.perf_counter() - start) * 1e6
     if isinstance(sink, EngineSink):
@@ -552,7 +538,7 @@ class StreamServer:
             self.frames_malformed += 1
             logger.warning("skipping malformed frame: %s", exc)
             return True
-        if isinstance(frame, StreamFrame):
+        if isinstance(frame, Event):
             try:
                 self._sink.send(frame)
             except Exception:  # defensive: a bad frame must never kill the engine

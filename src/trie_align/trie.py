@@ -243,11 +243,10 @@ class Trie:
         return [nid for nid, end in enumerate(self.is_end) if end]
 
     def model_activity_labels(self) -> list[str]:
-        """Labels actually used by trie nodes, in code order.
+        """Labels actually used by trie nodes, in code order: the draw pool for noise insertion.
 
-        Unlike the alphabet table, this is immune to later interning of
-        stream-only activities and is the right draw pool for noise
-        insertion.
+        The alphabet table may hold more: a loaded payload can list labels
+        no node carries, and a caller may intern into the table.
         """
         return [self.alphabet.label(code) for code in sorted(set(self.labels[1:]))]
 

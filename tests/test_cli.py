@@ -172,6 +172,20 @@ class TestCheck:
             assert all(r["complete_cost"] == 0 for r in report["per_trace"])
             assert report["aggregate"]["mean_cost_per_trace"] == 0
 
+    def test_byte_order_mark_is_not_part_of_the_input(self, tmp_path, capsys):
+        # Editors on some platforms start a UTF-8 file with a BOM; it must not
+        # join the first label of a proxy log or the header of an event log.
+        proxy = tmp_path / "proxy.txt"
+        proxy.write_text("a,b,c\na,c\n", encoding="utf-8-sig")
+        out = tmp_path / "model.trie"
+        assert main(["build-trie", "--proxy-log", str(proxy), "--out", str(out)]) == 0
+        assert cli_mod._load_trie_file(str(out)).alphabet.labels() == ["a", "b", "c"]
+        log = tmp_path / "log.csv"
+        log.write_text("case,activity\nt1,a\nt1,b\nt1,c\n", encoding="utf-8-sig")
+        capsys.readouterr()
+        report = run_json(capsys, ["check", "--trie", str(out), "--log", str(log), "--json"])
+        assert [r["prefix_cost"] for r in report["per_trace"]] == [0]
+
     def test_per_event_costs(self, trie_file, tmp_path, capsys):
         log = tmp_path / "log.csv"
         log.write_text(CHECK_LOG)

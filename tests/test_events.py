@@ -150,3 +150,9 @@ class TestDomainTypes:
         ev = Event(case_id="1", activity="a")
         with pytest.raises(ValueError):
             Trace(case_id="2", events=(ev,))
+
+    def test_event_json_line_is_the_wire_frame(self):
+        # The bytes every wire client has sent: ``ts`` only when set, never ``stream_seq``.
+        stamped = Event("17", "a", "2022-08-01 15:00", stream_seq=4)
+        assert stamped.to_json_line() == '{"case":"17","activity":"a","ts":"2022-08-01 15:00"}'
+        assert Event("1", "a").to_json_line() == '{"case":"1","activity":"a"}'

@@ -16,10 +16,10 @@ from trie_align import (
     DecayPolicy,
     Engine,
     EngineConfig,
+    Event,
     NoiseConfig,
     Noiser,
     ProcessResult,
-    StreamFrame,
     StreamServer,
     build_trie,
     parse_event_log,
@@ -67,11 +67,11 @@ def sample_traces():
 
 class TestFrames:
     def test_json_line_round_trip(self):
-        frame = StreamFrame("17", "a", "2022-08-01 15:00")
-        assert parse_frame(frame.to_json_line()) == frame
+        for ev in (Event("17", "a", "2022-08-01 15:00"), Event("17", "a")):
+            assert parse_frame(ev.to_json_line()) == ev
 
     def test_timestamp_optional(self):
-        assert parse_frame('{"case": "1", "activity": "a"}') == StreamFrame("1", "a")
+        assert parse_frame('{"case": "1", "activity": "a"}') == Event("1", "a")
 
     def test_control_line_yields_command(self):
         assert parse_frame('{"cmd":"metrics"}') == "metrics"
@@ -113,7 +113,7 @@ def metered(micros):
     """The meter's sink after it was sent one event per scripted latency."""
     sink = EngineSink(ScriptedEngine(micros))
     for _ in micros:
-        sink.send(StreamFrame("c", "a"))
+        sink.send(Event("c", "a"))
     return sink
 
 
@@ -190,6 +190,15 @@ class TestInterleaving:
 
     def test_empty_log(self):
         assert interleave_round_robin([]) == []
+
+    @pytest.mark.parametrize("interleave", [interleave_round_robin, interleave_by_timestamp])
+    def test_replays_the_parsed_events_themselves(self, interleave):
+        traces = sample_traces()
+        parsed = [ev for tr in traces for ev in tr.events]
+        replayed = interleave(traces)
+        assert len(replayed) == len(parsed)
+        assert all(any(ev is p for p in parsed) for ev in replayed)
+        assert len({id(ev) for ev in replayed}) == len(parsed)
 
 
 class TestReplay:
@@ -338,7 +347,7 @@ def send_lines(address, lines: list[str]) -> list[str]:
 
 class TestStreamServer:
     def test_frames_feed_engine_in_order(self, running_server, workflow_trie):
-        frames = [StreamFrame("c1", a).to_json_line() for a in "ab"]
+        frames = [Event("c1", a).to_json_line() for a in "ab"]
         answer = send_lines(running_server.address, frames + ['{"cmd":"metrics"}'])
         metrics = json.loads(answer[0])
         assert RUN_METRICS_KEYS <= metrics.keys()
@@ -380,7 +389,7 @@ class TestStreamServer:
         monkeypatch.setattr(
             stream_mod, "json", types.SimpleNamespace(loads=counting_loads, dumps=json.dumps)
         )
-        frames = [StreamFrame("c5", a).to_json_line() for a in "abce"]
+        frames = [Event("c5", a).to_json_line() for a in "abce"]
         answer = send_lines(running_server.address, frames + ['{"cmd":"metrics"}'])
         monkeypatch.undo()
         assert json.loads(answer[0])["events_processed"] == 4
@@ -396,7 +405,7 @@ class TestStreamServer:
         server = StreamServer(SlowEngine(EngineConfig(trie=workflow_trie)), port=0)
         server.start()
         try:
-            lines = [StreamFrame("c1", "a").to_json_line(), '{"cmd":"metrics"}']
+            lines = [Event("c1", "a").to_json_line(), '{"cmd":"metrics"}']
             metrics = json.loads(send_lines(server.address, lines)[0])
             assert metrics["events_processed"] == 1
         finally:
@@ -412,7 +421,7 @@ class TestStreamServer:
         server = StreamServer(RejectingEngine(EngineConfig(trie=workflow_trie)), port=0)
         server.start()
         try:
-            lines = [StreamFrame("c1", "boom").to_json_line(), '{"cmd":"metrics"}']
+            lines = [Event("c1", "boom").to_json_line(), '{"cmd":"metrics"}']
             metrics = json.loads(send_lines(server.address, lines)[0])
             assert metrics["events_processed"] == 0
             assert metrics["frames_malformed"] == 1
@@ -421,9 +430,9 @@ class TestStreamServer:
 
     def test_malformed_frame_is_counted_and_skipped(self, running_server):
         lines = [
-            StreamFrame("c2", "a").to_json_line(),
+            Event("c2", "a").to_json_line(),
             "this is not json",
-            StreamFrame("c2", "b").to_json_line(),
+            Event("c2", "b").to_json_line(),
             '{"cmd":"metrics"}',
         ]
         metrics = json.loads(send_lines(running_server.address, lines)[0])
@@ -435,7 +444,7 @@ class TestStreamServer:
         server = StreamServer(engine, port=0)
         server.start()
         try:
-            lines = [StreamFrame("c1", "a").to_json_line(), '{"cmd":"shutdown"}']
+            lines = [Event("c1", "a").to_json_line(), '{"cmd":"shutdown"}']
             final = json.loads(send_lines(server.address, lines)[0])
             assert final["events_processed"] == 1
             assert server.wait(timeout=5.0)
@@ -483,7 +492,7 @@ class TestStreamServer:
         # and stop() comes before the server has read most of them.
         n_cases = 5_000
         wire = "".join(
-            StreamFrame(f"c{i}", a).to_json_line() + "\n" for i in range(n_cases) for a in "abce"
+            Event(f"c{i}", a).to_json_line() + "\n" for i in range(n_cases) for a in "abce"
         )
         server = StreamServer(Engine(EngineConfig(trie=workflow_trie)), port=0)
         server.start()
@@ -517,7 +526,7 @@ class TestStreamServer:
 
     def test_last_line_without_newline_is_processed(self, running_server):
         with socket.create_connection(running_server.address, timeout=5.0) as client:
-            client.sendall(StreamFrame("c1", "a").to_json_line().encode("utf-8"))
+            client.sendall(Event("c1", "a").to_json_line().encode("utf-8"))
             client.shutdown(socket.SHUT_WR)
             assert client.recv(4096) == b""  # the server has read to EOF and closed
         assert running_server.stop()["events_processed"] == 1
@@ -526,7 +535,7 @@ class TestStreamServer:
         with socket.create_connection(running_server.address, timeout=5.0) as idle:
             idle.sendall(b'{"case":"c1",')  # half a line, then nothing
             started = time.perf_counter()
-            lines = [StreamFrame("c2", "a").to_json_line(), '{"cmd":"metrics"}']
+            lines = [Event("c2", "a").to_json_line(), '{"cmd":"metrics"}']
             metrics = json.loads(send_lines(running_server.address, lines)[0])
             assert time.perf_counter() - started < 1.0
         assert metrics["events_processed"] == 1
@@ -541,7 +550,7 @@ class TestStreamServer:
             with pytest.raises((ConnectionResetError, BrokenPipeError)):
                 for _ in range(10_000):
                     greedy.sendall(b'{"cmd":"metrics"}\n' * 100)
-        lines = [StreamFrame("c1", "a").to_json_line(), '{"cmd":"metrics"}']
+        lines = [Event("c1", "a").to_json_line(), '{"cmd":"metrics"}']
         assert json.loads(send_lines(running_server.address, lines)[0])["events_processed"] == 1
 
     def test_only_the_consumer_touches_the_engine(self, workflow_trie):
@@ -560,7 +569,7 @@ class TestStreamServer:
         server = StreamServer(engine, port=0)
         server.start()
         try:
-            lines = [StreamFrame(f"c{i}", "a").to_json_line() for i in range(5)]
+            lines = [Event(f"c{i}", "a").to_json_line() for i in range(5)]
             metrics = json.loads(send_lines(server.address, lines + ['{"cmd":"metrics"}'])[0])
             assert metrics["events_processed"] == 5
             assert len(threads) == 1
@@ -579,7 +588,7 @@ class TestStreamServer:
         host, port = running_server.address
         sink = TcpSink(host, port)
         for activity in "abce":
-            sink.send(StreamFrame("c9", activity))
+            sink.send(Event("c9", activity))
         metrics = sink.request_metrics()
         sink.close()
         assert metrics["events_processed"] == 4
