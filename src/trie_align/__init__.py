@@ -52,7 +52,6 @@ from .oracle import (
     optimal_prefix_costs,
 )
 from .stream import (
-    NoiseConfig,
     Noiser,
     RunMetrics,
     StreamServer,
@@ -74,7 +73,6 @@ __all__ = [
     "Event",
     "InvalidMoveError",
     "Move",
-    "NoiseConfig",
     "Noiser",
     "ParseError",
     "ProcessResult",

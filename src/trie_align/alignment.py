@@ -46,14 +46,6 @@ class Move(NamedTuple):
     def is_sync(self) -> bool:
         return self.log is not None and self.model is not None
 
-    @property
-    def is_log(self) -> bool:
-        return self.model is None
-
-    @property
-    def is_model(self) -> bool:
-        return self.log is None
-
 
 def sync_move(code: int) -> Move:
     return Move(code, code)

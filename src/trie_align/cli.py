@@ -13,7 +13,6 @@ import argparse
 import json
 import logging
 import os
-import random
 import sys
 import time
 from contextlib import nullcontext
@@ -22,15 +21,8 @@ from pathlib import Path
 from . import oracle as oracle_mod
 from .alignment import alignment_pairs
 from .engine import DecayPolicy, Engine, EngineConfig
-from .events import Event, ParseError, parse_event_log, parse_proxy_log
-from .stream import (
-    EngineSink,
-    NoiseConfig,
-    Noiser,
-    TcpSink,
-    drive,
-    serve as serve_stream,
-)
+from .events import ParseError, parse_event_log, parse_proxy_log
+from .stream import EngineSink, TcpSink, drive, serve as serve_stream, simulate_stream
 from .trie import Trie, TrieError, TrieFormatError, build_trie, load_trie, serialize_trie
 
 EXIT_OK = 0
@@ -310,74 +302,27 @@ def _parse_addr(addr: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
-def simulate_stream(
-    trie: Trie,
-    noise_level: float,
-    seed: int,
-    max_events: int | None,
-    duration: float | None,
-    cases_in_flight: int = 32,
-):
-    """Generate an endless interleaved stream of noisy model traces.
-
-    Traces are root-to-end paths of the trie sampled with replacement;
-    each sampled trace becomes a fresh case. Yields events until the event
-    budget or the duration runs out. Fully deterministic for a fixed seed
-    when bounded by ``max_events``.
-    """
-    rng = random.Random(seed)
-    noiser = Noiser(NoiseConfig(level=noise_level, seed=seed + 1), trie.model_activity_labels())
-    end_ids = trie.end_node_ids()
-    label_of = trie.alphabet.label
-
-    active: list[tuple[str, list[str], int]] = []  # case id, activities, position
-    case_counter = 0
-    emitted = 0
-    deadline = time.monotonic() + duration if duration is not None else None
-
-    while True:
-        if max_events is not None and emitted >= max_events:
-            return
-        if deadline is not None and time.monotonic() >= deadline:
-            return
-        while len(active) < cases_in_flight:
-            end = end_ids[rng.randrange(len(end_ids))]
-            activities = noiser.apply([label_of(c) for c in trie.end_path_codes(end)])
-            case_counter += 1
-            if activities:
-                active.append((f"sim-{case_counter}", activities, 0))
-        case_id, activities, pos = active.pop(0)
-        yield Event(case_id, activities[pos])
-        emitted += 1
-        if pos + 1 < len(activities):
-            active.append((case_id, activities, pos + 1))
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
+    max_events = args.max_events
+    if max_events is None and args.duration is None:
+        max_events = 10_000
     try:
-        if args.duration is not None and not args.duration > 0:
-            raise ValueError("--duration must be a positive number of seconds")
-        if args.cases_in_flight < 1:
-            raise ValueError("--cases-in-flight must be at least 1")
+        # drive() would check the rate only once a TcpSink had connected.
         if args.rate is not None and not args.rate > 0:
             raise ValueError("--rate must be a positive number of events per second")
-        if args.max_events is not None and args.max_events < 1:
-            raise ValueError("--max-events must be at least 1")
-        NoiseConfig(level=args.noise)  # the stream checks it only at its first event
         trie = _load_trie_file(args.trie)
+        events = simulate_stream(
+            trie,
+            noise_level=args.noise,
+            seed=args.seed,
+            max_events=max_events,
+            duration=args.duration,
+            cases_in_flight=args.cases_in_flight,
+        )
         engine = Engine(EngineConfig(trie=trie, decay=_decay_policy(args)))
         address = _parse_addr(args.connect) if args.connect else None
     except (OSError, TrieFormatError, ValueError) as exc:
         return _fail(str(exc), EXIT_INPUT)
-
-    events = simulate_stream(
-        trie,
-        noise_level=args.noise,
-        seed=args.seed,
-        max_events=args.max_events,
-        duration=args.duration,
-        cases_in_flight=args.cases_in_flight,
-    )
 
     if address is not None:
         try:
@@ -486,8 +431,6 @@ def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "simulate" and args.duration is None and args.max_events is None:
-        args.max_events = 10_000
     try:
         code = args.func(args)
     except KeyboardInterrupt:

@@ -14,11 +14,13 @@ event suffix, the alignment cost, and a decay counter. Per arriving event:
    their suffix and the successors are added.
 3. Otherwise each survivor proposes candidates: one log-move state that
    flushes its whole pending suffix plus the event as log moves, and
-   model-move states found by a bounded look-ahead below its node. With
-   two or more events pending it probes only the nodes that carry the
-   first pending event and have a child carrying the second, through the
-   trie's pair index; a single pending event is looked up among the
-   node's children and grandchildren (see :func:`expand_model_moves`).
+   model-move states found by a bounded look-ahead below its node, at
+   most one level deeper than the pending events are long and never
+   below the trie's deepest level. With two or more events pending it
+   probes only the nodes that carry the first pending event and have a
+   child carrying the second, through the trie's pair index; a single
+   pending event is looked up among the node's children and
+   grandchildren (see :func:`expand_model_moves`).
    Candidates are admitted against a running cost minimum; only those
    matching the final minimum are kept, with at most one state per trie
    node.
@@ -210,7 +212,10 @@ def expand_model_moves(trie: Trie, state: State, code: int, decay: int) -> list[
     pending sequence (suffix plus the new event) matches as a downward
     path. Start nodes lie at most ``len(pending) + 1`` levels down: any
     deeper match would need more model moves than flushing everything as
-    log moves costs, so it could never be admitted. With two or more
+    log moves costs, so it could never be admitted. A match must also end
+    on a node, so they lie at least ``len(pending) - 1`` levels above the
+    trie's deepest level, and older pending events that cannot fit above
+    it are dropped at once, keeping at least the newest. With two or more
     events pending, level by level, the trie's pair index
     (:meth:`Trie.starts_at`) yields only the nodes that carry the first
     pending event and have a child labeled the second, in breadth-first
@@ -235,10 +240,17 @@ def expand_model_moves(trie: Trie, state: State, code: int, decay: int) -> list[
     labels = trie.labels
     children = trie.children
     base_level = trie.levels[state.node]
+    depth = trie.depth
 
     pending = list(state.suffix)
     pending.append(code)
     dropped: list[int] = []
+    # A match spells all of pending downward from base_level + 1, so only
+    # the newest depth - base_level events can be part of one.
+    if len(pending) > depth - base_level:
+        cut = len(pending) - max(depth - base_level, 1)
+        dropped = pending[:cut]
+        del pending[:cut]
 
     while True:
         matches: list[tuple[int, int]] = []
@@ -257,7 +269,8 @@ def expand_model_moves(trie: Trie, state: State, code: int, decay: int) -> list[
                         matches.append((hit, hit))
         else:
             first, second = pending[0], pending[1]
-            for level in range(base_level + 1, base_level + len(pending) + 2):
+            span = len(pending)
+            for level in range(base_level + 1, min(base_level + span, depth - span) + 2):
                 for nid in trie.starts_at(state.node, first, second, level):
                     terminal = trie.path_match(nid, pending)
                     if terminal is not None:
@@ -301,14 +314,11 @@ def expand_model_moves(trie: Trie, state: State, code: int, decay: int) -> list[
         return []
 
 
-def _rescue_key(state: State) -> tuple:
-    # Prefer states that already consumed every event, then cheapest.
-    # A case's states are in creation order, so min() keeps the oldest on a tie.
-    return (1 if state.suffix else 0, state.cost, state.moves_len, state.node)
-
-
-def _best_key(state: State) -> tuple:
-    return (state.cost, state.moves_len, state.node)
+def _best(states: list[State]) -> State:
+    # The latest event's states are exactly those with an empty suffix, and
+    # there is always one. A case's states are in creation order, so min()
+    # keeps the oldest on a tie.
+    return min((s for s in states if not s.suffix), key=lambda s: (s.cost, s.moves_len, s.node))
 
 
 class Engine:
@@ -371,7 +381,7 @@ class Engine:
             # Decay wiped the whole case; the single best expired state
             # seeds this event's moves (preserving alignment history) but
             # is not retained.
-            generation = [min(states, key=_rescue_key)]
+            generation = [_best(states)]
 
         children = self.trie.children
         new_states: list[State] = []
@@ -480,15 +490,10 @@ class Engine:
     def best_state(self, case_id: str) -> State:
         """Cheapest state among those produced by the case's latest event.
 
-        Only states with an empty suffix qualify (they consumed every
-        event); ties fall to the shorter alignment, then the smaller node
-        id.
+        These consumed every event; ties fall to the shorter alignment,
+        then the smaller node id.
         """
-        entry = self._entry(case_id)
-        candidates = [s for s in entry.states if not s.suffix]
-        if not candidates:  # pragma: no cover - one empty-suffix state always survives
-            raise UnknownCaseError(case_id)
-        return min(candidates, key=_best_key)
+        return _best(self._entry(case_id).states)
 
     def conformance_cost(self, case_id: str) -> int:
         """Prefix-alignment cost of the case's best state."""

@@ -1,4 +1,4 @@
-"""Stream replay, noise injection, and the TCP ingestion server.
+"""Stream simulation, replay, and the TCP ingestion server.
 
 Wire protocol: newline-delimited UTF-8 JSON, one frame per line, e.g.
 ``{"case": "17", "activity": "a", "ts": "2022-08-01 15:00"}`` (``ts``
@@ -20,12 +20,17 @@ throttled or flat out. Every report of an engine run, replay and server
 alike, comes from one meter, :class:`EngineSink`, whose memory does not
 grow with the stream: its latencies only ever count engine processing
 time; waiting for the throttle or the socket is reported as idle time.
+
+The simulator, :func:`simulate_stream`, samples the trie's root-to-end
+paths, corrupts each with a :class:`Noiser` and interleaves them as
+cases. It checks its arguments when called, before any event is drawn.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import random
 import selectors
 import socket
 import threading
@@ -33,10 +38,11 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .engine import Engine
 from .events import Event, Trace
+from .trie import Trie
 
 logger = logging.getLogger("trie_align.stream")
 
@@ -44,6 +50,7 @@ INSERT = "insert"
 DELETE = "delete"
 SWAP = "swap"
 
+# The mutations a fired position draws from, uniformly.
 _ALL_OPS = (INSERT, DELETE, SWAP)
 
 
@@ -83,46 +90,26 @@ def parse_frame(line: str) -> Event | str:
     return Event(case_id, activity, ts)
 
 
-# -- noise ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NoiseConfig:
-    """Per-position mutation settings for pre-stream trace corruption.
-
-    Each trace position independently mutates with probability ``level``;
-    the operation is drawn uniformly from ``ops``. Inserts draw uniformly
-    from the given alphabet plus one fresh symbol unknown to the model.
-    Runs with the same seed are bit-reproducible.
-    """
-
-    level: float
-    ops: tuple[str, ...] = _ALL_OPS
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.level <= 1.0:
-            raise ValueError("noise level must be a probability in [0, 1]")
-        if not self.ops:
-            raise ValueError("at least one noise operation must be enabled")
-        for op in self.ops:
-            if op not in _ALL_OPS:
-                raise ValueError(f"unknown noise operation {op!r}")
+# -- simulation -------------------------------------------------------------
 
 
 class Noiser:
     """Stateful noise injector; one RNG stream across a whole corpus.
 
-    ``mutations`` counts fired mutations, which is exactly binomial in the
-    number of positions seen.
+    Each trace position independently mutates with probability ``level``;
+    the operation is drawn uniformly from ``_ALL_OPS``. Inserts draw
+    uniformly from the given alphabet plus one fresh symbol unknown to the
+    model. Runs with the same seed are bit-reproducible. ``mutations``
+    counts fired mutations, which is exactly binomial in the number of
+    positions seen.
     """
 
-    def __init__(self, config: NoiseConfig, alphabet: Sequence[str]) -> None:
-        import random
-
-        self.config = config
+    def __init__(self, alphabet: Sequence[str], level: float, seed: int = 0) -> None:
+        if not 0.0 <= level <= 1.0:
+            raise ValueError(f"noise level must be a probability in [0, 1], not {level!r}")
+        self.level = level
         self._alphabet = list(alphabet)
-        self._rng = random.Random(config.seed)
+        self._rng = random.Random(seed)
         self._fresh_counter = 0
         self.mutations = 0
         self.positions = 0
@@ -137,8 +124,8 @@ class Noiser:
     def apply(self, trace: Sequence[str]) -> list[str]:
         """Return a mutated copy of ``trace``; the input is untouched."""
         rng = self._rng
-        level = self.config.level
-        ops = self.config.ops
+        level = self.level
+        ops = _ALL_OPS
         fired: dict[int, str] = {}
         for idx in range(len(trace)):
             self.positions += 1
@@ -165,6 +152,62 @@ class Noiser:
                 out.append(trace[i])
                 i += 1
         return out
+
+
+def simulate_stream(
+    trie: Trie,
+    noise_level: float,
+    seed: int,
+    max_events: int | None,
+    duration: float | None,
+    cases_in_flight: int = 32,
+) -> Iterator[Event]:
+    """An endless interleaved stream of noisy model traces.
+
+    Traces are root-to-end paths of the trie sampled with replacement;
+    each sampled trace, noised by a :class:`Noiser` seeded ``seed + 1``,
+    becomes a fresh case. Yields events until the event budget or the
+    duration, counted from the first event, runs out. Fully deterministic
+    for a fixed seed when bounded by ``max_events``. Raises ValueError at
+    call time, before any event, for a noise level outside [0, 1], no
+    case in flight, or a ``max_events`` or ``duration`` that is not
+    positive.
+    """
+    noiser = Noiser(trie.model_activity_labels(), noise_level, seed + 1)
+    if cases_in_flight < 1:
+        raise ValueError(f"cases in flight must be at least 1, not {cases_in_flight!r}")
+    if max_events is not None and max_events < 1:
+        raise ValueError(f"max events must be at least 1, not {max_events!r}")
+    if duration is not None and not duration > 0:
+        raise ValueError(f"duration must be a positive number of seconds, not {duration!r}")
+    rng = random.Random(seed)
+    end_ids = trie.end_node_ids()
+    label_of = trie.alphabet.label
+
+    def events() -> Iterator[Event]:
+        active: list[tuple[str, list[str], int]] = []  # case id, activities, position
+        case_counter = 0
+        emitted = 0
+        deadline = time.monotonic() + duration if duration is not None else None
+
+        while True:
+            if max_events is not None and emitted >= max_events:
+                return
+            if deadline is not None and time.monotonic() >= deadline:
+                return
+            while len(active) < cases_in_flight:
+                end = end_ids[rng.randrange(len(end_ids))]
+                activities = noiser.apply([label_of(c) for c in trie.end_path_codes(end)])
+                case_counter += 1
+                if activities:
+                    active.append((f"sim-{case_counter}", activities, 0))
+            case_id, activities, pos = active.pop(0)
+            yield Event(case_id, activities[pos])
+            emitted += 1
+            if pos + 1 < len(activities):
+                active.append((case_id, activities, pos + 1))
+
+    return events()
 
 
 # -- replay ----------------------------------------------------------------

@@ -71,6 +71,7 @@ class Trie:
         "by_pre",
         "size",
         "buckets",
+        "_depth",
     )
 
     def __init__(
@@ -91,6 +92,7 @@ class Trie:
         self.alphabet = alphabet
         self.node_count = len(labels)
         self.end_count = sum(is_end)
+        self._depth = max(levels)
 
         # Remaining-path annotation, subtree sizes, leaf depths and the
         # widest fan-out in one sweep, children before parents (child id >
@@ -155,6 +157,11 @@ class Trie:
                 else:
                     bucket.append(entry)
         self.buckets = {key: array("q", sorted(entries)) for key, entries in pairs.items()}
+
+    @property
+    def depth(self) -> int:
+        """The deepest node level; the root is level 0."""
+        return self._depth
 
     # -- queries ---------------------------------------------------------
 

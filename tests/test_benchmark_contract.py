@@ -10,6 +10,7 @@ suite.
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import json
 import socket
@@ -31,6 +32,20 @@ def tracing(monkeypatch):
 
 def noisy_stream(trie, n):
     return list(simulate_stream(trie, noise_level=0.3, seed=7, max_events=n, duration=None))
+
+
+# SHA-256 of the wire lines of noisy_stream(workflow_trie, 20_000), joined by
+# newlines: the benchmark's inputs come from this generator, so its events
+# must not move.
+PINNED_STREAM_SHA256 = "1ef7cf7e3f6aba515ee08958070caf4a17a5a0ae2c3ca689d5cb5e2dee88c1f9"
+
+
+def test_simulated_stream_is_pinned(workflow_trie):
+    keyword = noisy_stream(workflow_trie, 20_000)
+    positional = simulate_stream(workflow_trie, 0.3, 7, 20_000, None)  # benchmarks/tcp.py's form
+    for events in (keyword, positional):
+        wire = "\n".join(ev.to_json_line() for ev in events)
+        assert hashlib.sha256(wire.encode("utf-8")).hexdigest() == PINNED_STREAM_SHA256
 
 
 def test_traced_engine_counts_every_call(tracing, workflow_trie):

@@ -17,9 +17,10 @@ from trie_align import (
     sync_move,
 )
 from trie_align.engine import State
-from trie_align.trie import Trie
+from trie_align.trie import ROOT, Trie
 
 from .conftest import labelize_moves, snapshot_case
+from .test_properties import reference_expand
 
 
 def fixed_engine(trie, value=2):
@@ -208,6 +209,32 @@ class TestModelMoves:
         assert probes
         for start, seq in probes:
             assert len(seq) >= 2 and seq[1] in trie.children[start]
+
+    def test_a_suffix_deeper_than_the_trie_costs_no_more_probes(self, workflow_trie, monkeypatch):
+        # The workflow trie is 6 levels deep, so from the root at most 6
+        # pending events can match; the older ones are dropped in one step
+        # and a longer suffix makes the same probes, with the level walk's result.
+        trie = workflow_trie
+        a, b = trie.alphabet.code("a"), trie.alphabet.code("b")
+        calls = []
+        original = Trie.starts_at
+
+        def counting_starts_at(self, *args):
+            calls.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(Trie, "starts_at", counting_starts_at)
+        counts = []
+        for k in (7, 20, 100):
+            state = State.make(node=ROOT, moves=(), suffix=[a] * k, decay=2)
+            calls.clear()
+            got = expand_model_moves(trie, state, b, decay=2)
+            counts.append(len(calls))
+            expected = reference_expand(trie, state, b, decay=2)
+            assert [(s.node, s.cost, s.moves()) for s in got] == [
+                (s.node, s.cost, s.moves()) for s in expected
+            ]
+        assert counts[0] > 0 and counts == [counts[0]] * 3
 
     def test_engine_reaches_pruned_alignment(self, forked_trie):
         # End to end: with a decay window long enough to keep the b-state

@@ -17,7 +17,6 @@ from trie_align import (
     Engine,
     EngineConfig,
     Event,
-    NoiseConfig,
     Noiser,
     ProcessResult,
     StreamServer,
@@ -34,6 +33,7 @@ from trie_align.stream import (
     interleave_by_timestamp,
     interleave_round_robin,
     replay,
+    simulate_stream,
 )
 
 SAMPLE_LOG = """\
@@ -283,22 +283,22 @@ class TestReplay:
 class TestNoise:
     def test_zero_level_is_identity(self):
         trace = list("abcde")
-        assert Noiser(NoiseConfig(level=0.0, seed=1), "abcde").apply(trace) == trace
+        assert Noiser("abcde", 0.0, seed=1).apply(trace) == trace
 
-    def test_forced_deletion_empties_trace(self):
-        out = Noiser(NoiseConfig(level=1.0, ops=("delete",), seed=3), "ab").apply(["a", "b"])
+    def test_forced_deletion_empties_trace(self, monkeypatch):
+        monkeypatch.setattr(stream_mod, "_ALL_OPS", (stream_mod.DELETE,))
+        out = Noiser("ab", 1.0, seed=3).apply(["a", "b"])
         assert out == []
 
     def test_seeded_runs_are_bit_reproducible(self):
-        config = NoiseConfig(level=0.3, seed=42)
-        one = Noiser(config, "abcde")
-        two = Noiser(config, "abcde")
+        one = Noiser("abcde", 0.3, seed=42)
+        two = Noiser("abcde", 0.3, seed=42)
         traces = [list("abcdeabcde") for _ in range(20)]
         assert [one.apply(t) for t in traces] == [two.apply(t) for t in traces]
 
     def test_mutation_count_within_binomial_interval(self):
         # 10,000 positions at 5%: binomial mean 500, sd ~21.8; 99% interval.
-        noiser = Noiser(NoiseConfig(level=0.05, seed=42), "abcde")
+        noiser = Noiser("abcde", 0.05, seed=42)
         for _ in range(1000):
             noiser.apply(list("abcdeabcde"))
         n, p = noiser.positions, 0.05
@@ -307,23 +307,38 @@ class TestNoise:
         low, high = n * p - 2.576 * sd, n * p + 2.576 * sd
         assert low <= noiser.mutations <= high
 
-    def test_insert_can_introduce_fresh_symbols(self):
-        noiser = Noiser(NoiseConfig(level=1.0, ops=("insert",), seed=0), "ab")
+    def test_insert_can_introduce_fresh_symbols(self, monkeypatch):
+        monkeypatch.setattr(stream_mod, "_ALL_OPS", (stream_mod.INSERT,))
+        noiser = Noiser("ab", 1.0, seed=0)
         out = noiser.apply(list("abababab"))
         assert len(out) == 16
         assert any(symbol.startswith("noise_") for symbol in out)
 
-    def test_swap_exchanges_neighbors(self):
-        out = Noiser(NoiseConfig(level=1.0, ops=("swap",), seed=5), "ab").apply(["a", "b"])
+    def test_swap_exchanges_neighbors(self, monkeypatch):
+        monkeypatch.setattr(stream_mod, "_ALL_OPS", (stream_mod.SWAP,))
+        out = Noiser("ab", 1.0, seed=5).apply(["a", "b"])
         assert out == ["b", "a"]
 
     def test_level_validation(self):
         with pytest.raises(ValueError):
-            NoiseConfig(level=1.5)
+            Noiser("ab", 1.5)
+
+
+class TestSimulateStream:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"noise_level": 1.5},
+            {"cases_in_flight": 0},
+            {"max_events": 0},
+            # Never iterated: a NaN duration would never end the stream.
+            {"duration": float("nan")},
+        ],
+    )
+    def test_bad_arguments_raise_before_any_event(self, workflow_trie, bad):
+        kwargs = {"noise_level": 0.1, "seed": 1, "max_events": 10, "duration": None, **bad}
         with pytest.raises(ValueError):
-            NoiseConfig(level=0.5, ops=())
-        with pytest.raises(ValueError):
-            NoiseConfig(level=0.5, ops=("scramble",))
+            simulate_stream(workflow_trie, **kwargs)
 
 
 @pytest.fixture
@@ -356,7 +371,7 @@ class TestStreamServer:
 
     def test_server_and_drive_report_through_one_meter(self, workflow_trie):
         # The same noisy frames, replayed in process and served over TCP.
-        noiser = Noiser(NoiseConfig(level=0.2, seed=4), "abcde")
+        noiser = Noiser("abcde", 0.2, seed=4)
         traces = parse_event_log(
             "case,activity\n"
             + "".join(f"c{i},{a}\n" for i in range(40) for a in noiser.apply(list("abdbce")))
