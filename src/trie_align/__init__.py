@@ -38,7 +38,6 @@ from .events import (
     Event,
     ParseError,
     ProxyLog,
-    Trace,
     parse_event_log,
     parse_proxy_log,
     serialize_event_log,
@@ -80,7 +79,6 @@ __all__ = [
     "RunMetrics",
     "State",
     "StreamServer",
-    "Trace",
     "Trie",
     "TrieError",
     "TrieFormatError",

@@ -21,7 +21,7 @@ from pathlib import Path
 from . import oracle as oracle_mod
 from .alignment import alignment_pairs
 from .engine import DecayPolicy, Engine, EngineConfig
-from .events import ParseError, parse_event_log, parse_proxy_log
+from .events import Event, ParseError, parse_event_log, parse_proxy_log
 from .stream import EngineSink, TcpSink, drive, serve as serve_stream, simulate_stream
 from .trie import Trie, TrieError, TrieFormatError, build_trie, load_trie, serialize_trie
 
@@ -115,8 +115,18 @@ def cmd_build_trie(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_traces(engine: Engine, traces, per_event: bool, records) -> tuple[list[dict], float]:
-    """Replay ``traces`` one after another: per-trace rows and total engine micros.
+def _by_case(events: list[Event]) -> dict[str, list[str]]:
+    """Each case's activities in file order; cases in order of first appearance."""
+    cases: dict[str, list[str]] = {}
+    for ev in events:
+        cases.setdefault(ev.case_id, []).append(ev.activity)
+    return cases
+
+
+def _check_cases(
+    engine: Engine, cases: dict[str, list[str]], per_event: bool, records
+) -> tuple[list[dict], float]:
+    """Replay ``cases`` one after another: per-trace rows and total engine micros.
 
     With ``records`` (an open text file) each event also writes one JSON
     record carrying the case's best prefix alignment after that event.
@@ -125,31 +135,31 @@ def _check_traces(engine: Engine, traces, per_event: bool, records) -> tuple[lis
     label = trie.alphabet.label
     per_trace = []
     total_micros = 0.0
-    for trace in traces:
+    for case_id, activities in cases.items():
         events_micros = 0.0
         per_event_costs = []
-        for seq, ev in enumerate(trace.events, 1):
-            result = engine.process(trace.case_id, ev.activity, ev.timestamp)
+        for seq, activity in enumerate(activities, 1):
+            result = engine.process(case_id, activity)
             events_micros += result.processing_micros
             if per_event:
                 per_event_costs.append(result.best_cost)
             if records is not None:
                 record = {
-                    "case_id": trace.case_id,
+                    "case_id": case_id,
                     "event_seq": seq,
-                    "activity": ev.activity,
+                    "activity": activity,
                     "best_cost": result.best_cost,
-                    "states_in_case": len(engine.states(trace.case_id)),
+                    "states_in_case": len(engine.states(case_id)),
                     "processing_micros": round(result.processing_micros, 3),
                     "alignment": alignment_pairs(
-                        engine.best_state(trace.case_id).alignment(), trace.activities[:seq], label
+                        engine.best_state(case_id).alignment(), activities[:seq], label
                     ),
                 }
                 records.write(json.dumps(record) + "\n")
-        best = engine.best_state(trace.case_id)
+        best = engine.best_state(case_id)
         row = {
-            "case_id": trace.case_id,
-            "events": len(trace),
+            "case_id": case_id,
+            "events": len(activities),
             "prefix_cost": best.cost,
             "complete_cost": best.cost + trie.min_to_end[best.node],
             "micros": round(events_micros, 1),
@@ -167,7 +177,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     except (OSError, TrieFormatError) as exc:
         return _fail(f"cannot load trie: {exc}", EXIT_INPUT)
     try:
-        traces = parse_event_log(_read_text(args.log))
+        cases = _by_case(parse_event_log(_read_text(args.log)))
     except OSError as exc:
         return _fail(f"cannot read log: {exc}", EXIT_INPUT)
     except ParseError as exc:
@@ -179,7 +189,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     try:
         with open(args.records, "w", encoding="utf-8") if args.records else nullcontext() as records:
-            per_trace, total_micros = _check_traces(engine, traces, args.per_event, records)
+            per_trace, total_micros = _check_cases(engine, cases, args.per_event, records)
     except OSError as exc:
         return _fail(f"cannot write records: {exc}", EXIT_INPUT)
 
@@ -214,15 +224,15 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     try:
         trie = _load_trie_file(args.trie)
-        traces = parse_event_log(_read_text(args.log))
+        cases = _by_case(parse_event_log(_read_text(args.log)))
     except (OSError, TrieFormatError, ParseError) as exc:
         return _fail(str(exc), EXIT_INPUT)
 
-    for trace in traces:
-        cells = len(trace) * trie.node_count
+    for case_id, activities in cases.items():
+        cells = len(activities) * trie.node_count
         if cells > ORACLE_CELL_GUARD:
             return _fail(
-                f"case {trace.case_id}: {len(trace)} events x {trie.node_count} nodes = "
+                f"case {case_id}: {len(activities)} events x {trie.node_count} nodes = "
                 f"{cells} DP cells exceeds the {ORACLE_CELL_GUARD} guard; shorten the trace, "
                 "use a smaller trie, or rely on the streaming engine instead",
                 EXIT_INPUT,
@@ -231,16 +241,16 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     compute = oracle_mod.optimal_prefix if args.mode == "prefix" else oracle_mod.optimal_complete
     engine_rows = None
     if args.compare:
-        engine_rows, _ = _check_traces(Engine(EngineConfig(trie=trie)), traces, False, None)
+        engine_rows, _ = _check_cases(Engine(EngineConfig(trie=trie)), cases, False, None)
 
     per_trace = []
     exact_matches = 0
     total_opt = 0
     total_engine = 0
-    for index, trace in enumerate(traces):
-        codes = [trie.alphabet.code(a) for a in trace.activities]
+    for index, (case_id, activities) in enumerate(cases.items()):
+        codes = [trie.alphabet.code(a) for a in activities]
         optimal = compute(codes, trie)
-        row = {"case_id": trace.case_id, "optimal_cost": optimal}
+        row = {"case_id": case_id, "optimal_cost": optimal}
         if engine_rows is not None:
             engine_cost = engine_rows[index][f"{args.mode}_cost"]
             row["engine_cost"] = engine_cost

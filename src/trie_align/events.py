@@ -1,4 +1,4 @@
-"""Event, trace, and proxy-log data model with text parsers.
+"""Event and proxy-log data model with text parsers.
 
 :class:`Event` is the one event record: CSV rows, wire lines and the
 simulator all yield it, replay sends it as it is, and
@@ -7,9 +7,10 @@ simulator all yield it, replay sends it as it is, and
 Two file formats are understood:
 
 * Event logs: CSV with header ``case,activity,timestamp`` (the timestamp
-  column is optional). Rows are kept in file order. The engine never
-  reads timestamps; only a by-timestamp replay orders events by them,
-  ties in file order.
+  column is optional). A parsed log is its events in file order, one
+  :class:`Event` per row, cases interleaved as the rows are. The engine
+  never reads timestamps; only a by-timestamp replay orders events by
+  them, ties in file order and rows without one last.
 * Proxy logs: plain text, one comma-separated activity sequence per line.
   A proxy log is a finite sample of the behavior a process model allows
   and is the input for trie construction.
@@ -53,16 +54,17 @@ class Event:
         activity: non-empty activity label.
         timestamp: optional ISO-8601 instant, carried verbatim. The engine
             never reads it; only a by-timestamp replay orders events by
-            it, ties in file order.
-        stream_seq: optional global arrival index across the whole parsed
-            input, used to keep timestamp sorts stable with respect to
-            file order.
+            it, ties in the order given.
+
+    An event carries no position: a log or a stream is a list of events
+    and its order is the list's. ``replay`` sends such a list in the
+    order given or, by timestamp, stably sorted with untimestamped
+    events last.
     """
 
     case_id: str
     activity: str
     timestamp: str | None = None
-    stream_seq: int | None = None
 
     def __post_init__(self) -> None:
         if not self.activity:
@@ -74,28 +76,6 @@ class Event:
         if self.timestamp is not None:
             doc["ts"] = self.timestamp
         return json.dumps(doc, separators=(",", ":"))
-
-
-@dataclass(frozen=True)
-class Trace:
-    """An ordered sequence of events sharing one case id."""
-
-    case_id: str
-    events: tuple[Event, ...]
-
-    def __post_init__(self) -> None:
-        for ev in self.events:
-            if ev.case_id != self.case_id:
-                raise ValueError(
-                    f"event case {ev.case_id!r} does not match trace case {self.case_id!r}"
-                )
-
-    @property
-    def activities(self) -> tuple[str, ...]:
-        return tuple(ev.activity for ev in self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
 
 
 @dataclass(frozen=True)
@@ -175,12 +155,12 @@ _HEADER_2 = ("case", "activity")
 _HEADER_3 = ("case", "activity", "timestamp")
 
 
-def parse_event_log(text: str) -> list[Trace]:
-    """Parse CSV event-log content into traces grouped by case.
+def parse_event_log(text: str) -> list[Event]:
+    """Parse CSV event-log content into its events, in file order.
 
     The header must be ``case,activity,timestamp`` (or ``case,activity``).
-    Events are grouped by case id in order of first appearance; within a
-    case they keep file order.
+    Blank lines are skipped; fields are stripped of surrounding blanks,
+    and an empty timestamp is None.
 
     Raises:
         ParseError: on a bad header, wrong column count, or empty
@@ -196,46 +176,33 @@ def parse_event_log(text: str) -> list[Trace]:
         )
     n_cols = len(header)
 
-    by_case: dict[str, list[Event]] = {}
-    stream_seq = 0
+    events: list[Event] = []
+    append = events.append
     for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
         parts = line.split(",")
         if len(parts) != n_cols:
+            # A blank line splits into one field, never a full row.
+            if not line.strip():
+                continue
             raise ParseError(
                 f"expected {n_cols} fields, got {len(parts)}", line_no=line_no
             )
         case_id = parts[0].strip()
         activity = parts[1].strip()
-        timestamp = parts[2].strip() if n_cols == 3 else ""
         if not case_id:
             raise ParseError("empty case id", line_no=line_no)
         if not activity:
             raise ParseError("empty activity", line_no=line_no)
-        by_case.setdefault(case_id, []).append(
-            Event(
-                case_id=case_id,
-                activity=activity,
-                timestamp=timestamp or None,
-                stream_seq=stream_seq,
-            )
-        )
-        stream_seq += 1
-
-    return [Trace(case_id, tuple(events)) for case_id, events in by_case.items()]
+        timestamp = parts[2].strip() if n_cols == 3 else None
+        append(Event(case_id, activity, timestamp or None))
+    return events
 
 
-def serialize_event_log(traces: list[Trace]) -> str:
-    """Render traces back to CSV, restoring global file order when known.
+def serialize_event_log(events: list[Event]) -> str:
+    """Render events back to CSV, one row each, in list order.
 
-    Events carrying ``stream_seq`` are emitted in that order; otherwise
-    traces are emitted case by case. The timestamp column is included iff
-    any event has a timestamp.
+    The timestamp column is included iff any event has a timestamp.
     """
-    events = [ev for tr in traces for ev in tr.events]
-    if all(ev.stream_seq is not None for ev in events):
-        events.sort(key=lambda ev: ev.stream_seq)  # type: ignore[arg-type, return-value]
     with_ts = any(ev.timestamp for ev in events)
     lines = ["case,activity,timestamp" if with_ts else "case,activity"]
     for ev in events:

@@ -14,9 +14,10 @@ line is decoded once, by :func:`parse_frame`. Malformed lines (non-UTF-8
 bytes included) are counted, logged, and skipped; they never take the
 engine down.
 
-Replay sends the parsed events themselves, uncopied, to an in-process
-engine or a remote TCP endpoint, in round-robin or timestamp order,
-throttled or flat out. Every report of an engine run, replay and server
+Replay sends a list of events themselves, uncopied, to an in-process
+engine or a remote TCP endpoint, throttled or flat out: in the order
+given, or in timestamp order with ties in the order given and events
+without a timestamp last. Every report of an engine run, replay and server
 alike, comes from one meter, :class:`EngineSink`, whose memory does not
 grow with the stream: its latencies only ever count engine processing
 time; waiting for the throttle or the socket is reported as idle time.
@@ -41,7 +42,7 @@ from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 from .engine import Engine
-from .events import Event, Trace
+from .events import Event
 from .trie import Trie
 
 logger = logging.getLogger("trie_align.stream")
@@ -212,7 +213,6 @@ def simulate_stream(
 
 # -- replay ----------------------------------------------------------------
 
-ROUND_ROBIN = "round-robin"
 BY_TIMESTAMP = "by-timestamp"
 
 
@@ -244,35 +244,6 @@ class RunMetrics:
             "max_resident_cases": self.max_resident_cases,
             "frames_malformed": self.frames_malformed,
         }
-
-
-def interleave_round_robin(traces: Iterable[Trace]) -> list[Event]:
-    """Global order taking one pending event per case per round."""
-    queues = [tr.events for tr in traces]
-    order: list[Event] = []
-    position = 0
-    while True:
-        emitted = False
-        for events in queues:
-            if position < len(events):
-                order.append(events[position])
-                emitted = True
-        if not emitted:
-            return order
-        position += 1
-
-
-def interleave_by_timestamp(traces: Iterable[Trace]) -> list[Event]:
-    """Global order sorted by timestamp; ties keep original file order."""
-    events = [ev for tr in traces for ev in tr.events]
-    events.sort(
-        key=lambda ev: (
-            ev.timestamp is None,
-            ev.timestamp or "",
-            ev.stream_seq if ev.stream_seq is not None else 0,
-        )
-    )
-    return events
 
 
 # Latest per-event latencies the meter keeps for its p50.
@@ -374,20 +345,21 @@ class TcpSink:
 
 
 def replay(
-    traces: Sequence[Trace],
+    events: Sequence[Event],
     sink,
-    interleave: str = ROUND_ROBIN,
+    interleave: str | None = None,
     rate: float | None = None,
 ) -> RunMetrics:
-    """Deliver every event exactly once in the chosen global order.
+    """Deliver every event exactly once, then report the run as :func:`drive` does.
 
-    Interleaves the traces, then runs :func:`drive` over their events.
+    By default the events go in the order given. ``"by-timestamp"`` sorts
+    them stably by timestamp: ties keep the order given, and events
+    without a timestamp go last. Any other ``interleave`` raises
+    ``ValueError``.
     """
-    if interleave == ROUND_ROBIN:
-        events = interleave_round_robin(traces)
-    elif interleave == BY_TIMESTAMP:
-        events = interleave_by_timestamp(traces)
-    else:
+    if interleave == BY_TIMESTAMP:
+        events = sorted(events, key=lambda ev: (ev.timestamp is None, ev.timestamp or ""))
+    elif interleave is not None:
         raise ValueError(f"unknown interleave mode {interleave!r}")
     return drive(events, sink, rate)
 

@@ -350,8 +350,9 @@ def load_trie(payload: bytes) -> Trie:
     Raises:
         TrieFormatError: on a version mismatch or corrupt payload (bad
             JSON, missing fields, empty, non-string or repeated activity
-            labels, dangling parents, or header counts that disagree with
-            the node table).
+            labels, a node row that is not three ints ``parent, label,
+            end`` with an earlier parent, a known label and an end flag
+            of 0 or 1, or header counts that disagree with the node table).
     """
     try:
         doc = json.loads(payload.decode("utf-8"))
@@ -385,18 +386,25 @@ def load_trie(payload: bytes) -> Trie:
     levels = [0]
     children: list[dict[int, int]] = [{}]
     is_end = [False]
+    n_labels = len(alphabet)
     for nid, row in enumerate(rows, start=1):
         try:
-            parent, label, end = int(row[0]), int(row[1]), bool(row[2])
-        except (TypeError, ValueError, IndexError) as exc:
+            parent, label, end = row
+        except (TypeError, ValueError) as exc:
             raise TrieFormatError(f"corrupt trie payload: bad node row {nid}") from exc
-        if not 0 <= parent < nid or not 0 <= label < len(alphabet):
+        # Exact ints only: a float, string or bool field is corrupt, not coerced.
+        if (
+            type(parent) is not int
+            or type(label) is not int
+            or type(end) is not int
+            or not (0 <= parent < nid and 0 <= label < n_labels and 0 <= end <= 1)
+        ):
             raise TrieFormatError(f"corrupt trie payload: bad node row {nid}")
         labels.append(label)
         parents.append(parent)
         levels.append(levels[parent] + 1)
         children.append({})
-        is_end.append(end)
+        is_end.append(end == 1)
         if label in children[parent]:
             raise TrieFormatError(f"corrupt trie payload: duplicate child at node {parent}")
         children[parent][label] = nid

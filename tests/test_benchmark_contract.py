@@ -5,7 +5,8 @@
 ``Trie.path_match`` and ``trie_align.stream.parse_frame`` by name. A
 refactor that calls one of them some other way leaves its counters at zero
 and shows up only as a failed benchmark run; these tests catch it in the
-suite.
+suite. ``benchmarks/inprocess.py`` also feeds its CSV through
+``parse_event_log`` and ``replay``, which must keep their call form.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
+import random
 import socket
 from pathlib import Path
 
 import pytest
 
-from trie_align import Engine, EngineConfig, StreamServer
+from trie_align import Engine, EngineConfig, StreamServer, parse_event_log, replay
 from trie_align.cli import simulate_stream
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -46,6 +48,33 @@ def test_simulated_stream_is_pinned(workflow_trie):
     for events in (keyword, positional):
         wire = "\n".join(ev.to_json_line() for ev in events)
         assert hashlib.sha256(wire.encode("utf-8")).hexdigest() == PINNED_STREAM_SHA256
+
+
+def test_csv_chain_delivers_every_row_once_in_timestamp_order(monkeypatch, workflow_trie):
+    # The csv-conforming chain: the benchmark's own CSV writer, then
+    # replay(parse_event_log(text), sink, interleave="by-timestamp") into a
+    # sink that reads case_id, activity and timestamp.
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    inprocess = importlib.import_module("inprocess")
+    events = noisy_stream(workflow_trie, 3_000)
+    (text,) = inprocess._csv_chunks([ev.case_id for ev in events], [ev.activity for ev in events])
+    header, *rows = text.splitlines()
+    expected = [tuple(row.split(",")) for row in rows]
+    assert [(c, a) for c, a, _ in expected] == [(ev.case_id, ev.activity) for ev in events]
+    stamps = [ts for _, _, ts in expected]
+    assert stamps == sorted(set(stamps))  # rising, no ties
+    # The rows in a shuffled file order: timestamps alone restore the stream.
+    random.Random(3).shuffle(rows)
+    seen = []
+
+    class Sink:
+        def send(self, frame):
+            seen.append((frame.case_id, frame.activity, frame.timestamp))
+
+    text = "\n".join([header, *rows]) + "\n"
+    metrics = replay(parse_event_log(text), Sink(), interleave="by-timestamp")
+    assert metrics.events_processed == 3_000
+    assert seen == expected
 
 
 def test_traced_engine_counts_every_call(tracing, workflow_trie):

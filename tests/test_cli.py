@@ -286,6 +286,27 @@ class TestCheck:
             {"log": "b", "model": "b"},
         ]
 
+    def test_interleaved_cases_report_case_by_case(self, trie_file, tmp_path, capsys):
+        # Two cases whose rows alternate, the later id first in the file.
+        activities = {"c2": ["a", "y", "b", "e"], "c1": ["a", "b", "x", "e"]}
+        rows = [f"{case},{acts[i]}\n" for i in range(4) for case, acts in activities.items()]
+        log = tmp_path / "log.csv"
+        log.write_text("case,activity\n" + "".join(rows))
+        records = tmp_path / "records.jsonl"
+        argv = ["check", "--trie", str(trie_file), "--log", str(log), "--per-event"]
+        report = run_json(capsys, [*argv, "--records", str(records), "--json"])
+        assert [r["case_id"] for r in report["per_trace"]] == ["c2", "c1"]
+        assert [r["events"] for r in report["per_trace"]] == [4, 4]
+        assert [r["per_event_costs"] for r in report["per_trace"]] == [[0, 1, 1, 1], [0, 0, 1, 1]]
+        lines = [json.loads(ln) for ln in records.read_text().splitlines()]
+        assert [(r["case_id"], r["event_seq"]) for r in lines] == [
+            (case, seq) for case in ("c2", "c1") for seq in range(1, 5)
+        ]
+        for record in lines:
+            own = activities[record["case_id"]][: record["event_seq"]]
+            assert record["activity"] == own[-1]
+            assert [p["log"] for p in record["alignment"] if p["log"] is not None] == own
+
     def test_unwritable_records_exits_2(self, trie_file, tmp_path, capsys):
         log = tmp_path / "log.csv"
         log.write_text(CHECK_LOG)
@@ -672,8 +693,7 @@ class TestCheckSimulateConsistency:
         engine = Engine(EngineConfig(trie=trie, decay=DecayPolicy(df=0, min_dt=2)))
         from trie_align import parse_event_log
 
-        for trace in parse_event_log(log.read_text()):
-            for ev in trace.events:
-                engine.process(trace.case_id, ev.activity)
+        for ev in parse_event_log(log.read_text()):
+            engine.process(ev.case_id, ev.activity)
         for row in report["per_trace"]:
             assert engine.conformance_cost(row["case_id"]) == row["prefix_cost"]

@@ -10,7 +10,6 @@ from trie_align import (
     ActivityTable,
     Event,
     ParseError,
-    Trace,
     parse_event_log,
     parse_proxy_log,
     serialize_event_log,
@@ -28,13 +27,18 @@ case,activity,timestamp
 
 
 class TestParseEventLog:
-    def test_groups_by_case_in_file_order(self):
-        traces = parse_event_log(SAMPLE_LOG)
-        assert len(traces) == 2
-        assert traces[0].case_id == "1"
-        assert traces[0].activities == ("a", "b", "c")
-        assert traces[1].case_id == "2"
-        assert traces[1].activities == ("a", "b")
+    def test_rows_become_events_in_file_order(self):
+        assert parse_event_log(SAMPLE_LOG) == [
+            Event("1", "a", "2022-08-01 15:00"),
+            Event("1", "b", "2022-08-01 15:02"),
+            Event("2", "a", "2022-08-01 15:03"),
+            Event("2", "b", "2022-08-01 15:06"),
+            Event("1", "c", "2022-08-01 15:06"),
+        ]
+
+    def test_blank_lines_and_empty_timestamps(self):
+        text = "case,activity,timestamp\n\n 2 , b ,\n   \n1,a, 15:00 \n"
+        assert parse_event_log(text) == [Event("2", "b"), Event("1", "a", "15:00")]
 
     def test_empty_body_yields_empty_list(self):
         assert parse_event_log("") == []
@@ -42,13 +46,11 @@ class TestParseEventLog:
 
     def test_repeated_activity_stays_one_trace(self):
         text = "case,activity\n7,a\n7,a\n7,a\n"
-        traces = parse_event_log(text)
-        assert len(traces) == 1
-        assert traces[0].activities == ("a", "a", "a")
+        assert parse_event_log(text) == [Event("7", "a")] * 3
 
     def test_timestamp_column_is_optional(self):
-        traces = parse_event_log("case,activity\n1,a\n")
-        assert traces[0].events[0].timestamp is None
+        (event,) = parse_event_log("case,activity\n1,a\n")
+        assert event.timestamp is None
 
     def test_bad_header_rejected(self):
         with pytest.raises(ParseError):
@@ -63,12 +65,11 @@ class TestParseEventLog:
             parse_event_log("case,activity\n1,\n")
 
     def test_round_trip_preserves_case_activity_order(self):
-        traces = parse_event_log(SAMPLE_LOG)
-        again = parse_event_log(serialize_event_log(traces))
-        assert [(t.case_id, t.activities) for t in again] == [
-            (t.case_id, t.activities) for t in traces
-        ]
-        assert serialize_event_log(again) == SAMPLE_LOG
+        events = parse_event_log(SAMPLE_LOG)
+        assert parse_event_log(serialize_event_log(events)) == events
+        assert serialize_event_log(events) == SAMPLE_LOG
+        # Any list order is written as it stands.
+        assert parse_event_log(serialize_event_log(events[::-1])) == events[::-1]
 
 
 class TestParseProxyLog:
@@ -146,13 +147,8 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             Event(case_id="1", activity="")
 
-    def test_trace_rejects_foreign_case(self):
-        ev = Event(case_id="1", activity="a")
-        with pytest.raises(ValueError):
-            Trace(case_id="2", events=(ev,))
-
     def test_event_json_line_is_the_wire_frame(self):
-        # The bytes every wire client has sent: ``ts`` only when set, never ``stream_seq``.
-        stamped = Event("17", "a", "2022-08-01 15:00", stream_seq=4)
+        # The bytes every wire client has sent: ``ts`` only when set.
+        stamped = Event("17", "a", "2022-08-01 15:00")
         assert stamped.to_json_line() == '{"case":"17","activity":"a","ts":"2022-08-01 15:00"}'
         assert Event("1", "a").to_json_line() == '{"case":"1","activity":"a"}'

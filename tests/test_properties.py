@@ -323,11 +323,9 @@ def test_engine_matches_itself_across_runs(proxy, trace):
 @settings(max_examples=100, deadline=None)
 def test_event_log_round_trip(rows):
     text = "case,activity\n" + "".join(f"{c},{a}\n" for c, a in rows)
-    traces = parse_event_log(text)
-    again = parse_event_log(serialize_event_log(traces))
-    assert [(t.case_id, t.activities) for t in again] == [
-        (t.case_id, t.activities) for t in traces
-    ]
+    events = parse_event_log(text)
+    assert [(ev.case_id, ev.activity) for ev in events] == rows
+    assert parse_event_log(serialize_event_log(events)) == events
 
 
 def test_engine_cost_dominates_oracle_on_seeded_corpus(workflow_trie):

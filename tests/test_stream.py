@@ -30,8 +30,6 @@ from trie_align.stream import (
     FrameError,
     TcpSink,
     drive,
-    interleave_by_timestamp,
-    interleave_round_robin,
     replay,
     simulate_stream,
 )
@@ -61,8 +59,15 @@ RUN_METRICS_KEYS = {
 }
 
 
-def sample_traces():
+def sample_events():
     return parse_event_log(SAMPLE_LOG)
+
+
+def delivered(events, interleave=None):
+    """The events as replay sends them to a sink."""
+    seen = []
+    replay(events, types.SimpleNamespace(send=seen.append), interleave=interleave)
+    return seen
 
 
 class TestFrames:
@@ -168,34 +173,37 @@ class TestLatencySummary:
 
 
 class TestInterleaving:
-    def test_round_robin_order(self):
-        frames = interleave_round_robin(sample_traces())
-        assert [(f.case_id, f.activity) for f in frames] == [
-            ("1", "a"),
-            ("2", "a"),
-            ("1", "b"),
-            ("2", "b"),
-            ("1", "c"),
-        ]
-
     def test_by_timestamp_matches_file_order_on_ties(self):
-        frames = interleave_by_timestamp(sample_traces())
-        assert [(f.case_id, f.activity) for f in frames] == [
+        # Rows out of timestamp order, a tie across cases, and two rows
+        # without a timestamp: those go last, in file order.
+        events = parse_event_log(
+            "case,activity,timestamp\n"
+            "1,a,2022-08-01 15:00\n"
+            "2,x,\n"
+            "1,b,2022-08-01 15:06\n"
+            "2,a,2022-08-01 15:03\n"
+            "1,y,\n"
+            "2,b,2022-08-01 15:06\n"
+            "1,c,2022-08-01 15:06\n"
+        )
+        assert [(f.case_id, f.activity) for f in delivered(events, "by-timestamp")] == [
             ("1", "a"),
-            ("1", "b"),
             ("2", "a"),
+            ("1", "b"),
             ("2", "b"),
             ("1", "c"),
+            ("2", "x"),
+            ("1", "y"),
         ]
+        assert delivered(events) == events
 
     def test_empty_log(self):
-        assert interleave_round_robin([]) == []
+        assert delivered([]) == delivered([], "by-timestamp") == []
 
-    @pytest.mark.parametrize("interleave", [interleave_round_robin, interleave_by_timestamp])
+    @pytest.mark.parametrize("interleave", [None, "by-timestamp"])
     def test_replays_the_parsed_events_themselves(self, interleave):
-        traces = sample_traces()
-        parsed = [ev for tr in traces for ev in tr.events]
-        replayed = interleave(traces)
+        parsed = sample_events()
+        replayed = delivered(parsed, interleave)
         assert len(replayed) == len(parsed)
         assert all(any(ev is p for p in parsed) for ev in replayed)
         assert len({id(ev) for ev in replayed}) == len(parsed)
@@ -212,11 +220,9 @@ class TestReplay:
                 return None
 
         recorder = Recorder()
-        metrics = replay(sample_traces(), recorder)
+        metrics = replay(sample_events(), recorder)
         assert metrics.events_processed == 5
-        assert sorted(recorder.seen) == sorted(
-            (ev.case_id, ev.activity) for tr in sample_traces() for ev in tr.events
-        )
+        assert recorder.seen == [(ev.case_id, ev.activity) for ev in sample_events()]
         per_case: dict[str, list[str]] = {}
         for case_id, activity in recorder.seen:
             per_case.setdefault(case_id, []).append(activity)
@@ -232,7 +238,7 @@ class TestReplay:
                 self.seen.append((frame.case_id, frame.activity, frame.timestamp))
 
         recorder = TimestampRecorder()
-        metrics = replay(sample_traces(), recorder, interleave="by-timestamp")
+        metrics = replay(sample_events(), recorder, interleave="by-timestamp")
         assert metrics.events_processed == 5
         assert [(case, act) for case, act, _ in recorder.seen] == [
             ("1", "a"),
@@ -243,21 +249,22 @@ class TestReplay:
         ]
 
     def test_unknown_interleave_mode_raises(self):
-        with pytest.raises(ValueError, match="unknown interleave mode"):
-            replay(sample_traces(), None, interleave="shuffled")
+        for mode in ("shuffled", "round-robin"):
+            with pytest.raises(ValueError, match="unknown interleave mode"):
+                replay(sample_events(), None, interleave=mode)
 
     @pytest.mark.parametrize("rate", [0, -5.0, math.nan])
     def test_drive_rejects_a_rate_that_is_not_positive(self, workflow_trie, rate):
         sink = EngineSink(Engine(EngineConfig(trie=workflow_trie)))
         with pytest.raises(ValueError, match="rate must be a positive number"):
-            drive(interleave_round_robin(sample_traces()), sink, rate=rate)
+            drive(sample_events(), sink, rate=rate)
         assert sink.processed == 0
         assert not sink.window
 
     def test_engine_sink_metrics(self, workflow_trie):
         engine = Engine(EngineConfig(trie=workflow_trie, decay=DecayPolicy(df=0, min_dt=2)))
         sink = EngineSink(engine)
-        metrics = replay(sample_traces(), sink)
+        metrics = replay(sample_events(), sink)
         assert RUN_METRICS_KEYS <= metrics.to_dict().keys()
         assert metrics.events_processed == 5
         assert metrics.mean_event_micros > 0
@@ -275,7 +282,7 @@ class TestReplay:
 
     def test_throttled_replay_accrues_idle_time(self, workflow_trie):
         engine = Engine(EngineConfig(trie=workflow_trie))
-        metrics = replay(sample_traces(), EngineSink(engine), rate=200.0)
+        metrics = replay(sample_events(), EngineSink(engine), rate=200.0)
         assert metrics.idle_micros > 0
         assert metrics.wall_micros >= 4 * 5000  # four inter-event gaps at 5 ms
 
@@ -372,11 +379,17 @@ class TestStreamServer:
     def test_server_and_drive_report_through_one_meter(self, workflow_trie):
         # The same noisy frames, replayed in process and served over TCP.
         noiser = Noiser("abcde", 0.2, seed=4)
-        traces = parse_event_log(
+        noised = [noiser.apply(list("abdbce")) for _ in range(40)]
+        # One event per case per round, so the 40 cases overlap.
+        frames = parse_event_log(
             "case,activity\n"
-            + "".join(f"c{i},{a}\n" for i in range(40) for a in noiser.apply(list("abdbce")))
+            + "".join(
+                f"c{i},{trace[pos]}\n"
+                for pos in range(max(map(len, noised)))
+                for i, trace in enumerate(noised)
+                if pos < len(trace)
+            )
         )
-        frames = interleave_round_robin(traces)
         policy = DecayPolicy()
         sink = EngineSink(Engine(EngineConfig(trie=workflow_trie, decay=policy)))
         replayed = stream_mod.drive(frames, sink)

@@ -203,6 +203,26 @@ class TestSerialization:
         with pytest.raises(TrieFormatError, match="activity label"):
             load_trie(json.dumps(doc).encode())
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [0, 1.9, 0],  # a float label once truncated to code 1
+            ["0", "2", 0],  # string fields once parsed as ints
+            [0, 0, "0"],  # a string end flag once read as true
+            [0, 0, 2],
+            [0, 0, True],
+            [0, 0, 0, 7],  # a fourth field once ignored
+            [0, 0],
+            7,
+        ],
+    )
+    def test_malformed_node_row_rejected(self, row):
+        doc = json.loads(serialize_trie(build_trie(ProxyLog((("a", "b"), ("a", "c"))))))
+        assert doc["nodes"][0] == [0, 0, 0]
+        doc["nodes"][0] = row
+        with pytest.raises(TrieFormatError, match="bad node row 1"):
+            load_trie(json.dumps(doc).encode())
+
 
 def random_trie():
     """Seeded trie whose traces include prefixes of others (ends with children)."""
