@@ -9,19 +9,7 @@ optimal alignment costs for verification, and a replay/noise/TCP harness
 supports stress testing.
 """
 
-from .alignment import (
-    Alignment,
-    InvalidMoveError,
-    Move,
-    alignment_pairs,
-    complete_alignment,
-    cost as alignment_cost,
-    log_move,
-    model_move,
-    render_text,
-    sync_move,
-    validate,
-)
+from .alignment import Move, alignment_pairs, complete_alignment, model_move, render_text
 from .engine import (
     DecayPolicy,
     Engine,
@@ -43,13 +31,7 @@ from .events import (
     serialize_event_log,
     serialize_proxy_log,
 )
-from .oracle import (
-    BoundTooSmallError,
-    exhaustive_prefix,
-    optimal_complete,
-    optimal_prefix,
-    optimal_prefix_costs,
-)
+from .oracle import optimal_complete, optimal_prefix, optimal_prefix_costs
 from .stream import (
     Noiser,
     RunMetrics,
@@ -64,13 +46,10 @@ __version__ = "0.1.0"
 __all__ = [
     "UNKNOWN",
     "ActivityTable",
-    "Alignment",
-    "BoundTooSmallError",
     "DecayPolicy",
     "Engine",
     "EngineConfig",
     "Event",
-    "InvalidMoveError",
     "Move",
     "Noiser",
     "ParseError",
@@ -83,15 +62,12 @@ __all__ = [
     "TrieError",
     "TrieFormatError",
     "UnknownCaseError",
-    "alignment_cost",
     "alignment_pairs",
     "build_trie",
     "complete_alignment",
     "decay_time",
-    "exhaustive_prefix",
     "expand_model_moves",
     "load_trie",
-    "log_move",
     "model_move",
     "optimal_complete",
     "optimal_prefix",
@@ -104,6 +80,4 @@ __all__ = [
     "serialize_event_log",
     "serialize_proxy_log",
     "serialize_trie",
-    "sync_move",
-    "validate",
 ]

@@ -152,7 +152,7 @@ def _check_cases(
                     "states_in_case": len(engine.states(case_id)),
                     "processing_micros": round(result.processing_micros, 3),
                     "alignment": alignment_pairs(
-                        engine.best_state(case_id).alignment(), activities[:seq], label
+                        engine.best_state(case_id).moves(), activities[:seq], label
                     ),
                 }
                 records.write(json.dumps(record) + "\n")

@@ -35,7 +35,12 @@ case, and the admission cap stops lineages from multiplying on
 heavily deviating streams. Together they bound a case's stored states by
 ``(max_branching + 1)`` times the largest decay it was ever issued. That
 largest decay is its root's: :func:`decay_time` never grows with the
-event index, so no later state outlives the root's allowance.
+event index, so no later state outlives the root's allowance. A fourth
+bounds each state: no pending suffix outgrows the trie's depth, because
+once one does, its older events, which no search can match any more, are
+committed as log moves at once (:func:`_commit_unmatchable`). Every
+candidate the state later proposes is the same as if they had stayed
+pending.
 
 An engine instance is single-writer: calls into :meth:`Engine.process`
 must be serialized. Scale out by partitioning the case-id space across
@@ -48,9 +53,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from .alignment import Alignment, Move
+from .alignment import Move
 from .trie import ROOT, Trie
 
 #: Admission sentinel, larger than any reachable alignment cost.
@@ -100,7 +105,7 @@ class State:
 
     The alignment is stored as a backward-linked chain of moves shared with
     the parent state, so spawning a successor is O(1); :meth:`moves`
-    materializes it.
+    materializes it as the prefix alignment, a tuple of moves.
     """
 
     __slots__ = ("state_id", "node", "suffix", "cost", "decay", "parent_id", "_link", "moves_len")
@@ -125,24 +130,6 @@ class State:
         self._link = link
         self.moves_len = moves_len
 
-    @classmethod
-    def make(
-        cls,
-        node: int,
-        moves: Iterable[Move],
-        suffix: Iterable[int] = (),
-        cost: int = 0,
-        decay: int = 1,
-        state_id: int = 0,
-    ) -> "State":
-        """Build a standalone state from explicit moves (test/tooling entry)."""
-        link = None
-        count = 0
-        for move in moves:
-            link = (link, tuple(move))
-            count += 1
-        return cls(state_id, node, list(suffix), cost, decay, link, count)
-
     def moves(self) -> tuple[Move, ...]:
         out = []
         link = self._link
@@ -151,9 +138,6 @@ class State:
             out.append(Move(*move))
         out.reverse()
         return tuple(out)
-
-    def alignment(self) -> Alignment:
-        return Alignment(self.moves(), kind="prefix")
 
     def __repr__(self) -> str:
         return (
@@ -314,6 +298,30 @@ def expand_model_moves(trie: Trie, state: State, code: int, decay: int) -> list[
         return []
 
 
+def _commit_unmatchable(trie: Trie, states: list[State]) -> None:
+    """Commit as log moves the pending events no search can match any more.
+
+    A search from a node at level ``l`` matches at most the newest
+    ``depth - l`` pending events, so once a suffix is longer than the
+    trie's depth its older events can only ever leave as log moves. They
+    join the state's alignment and cost now, and the suffix keeps the
+    newest ``max(depth - l - 1, 1)``, which with the next event are as many
+    as a search can use.
+    """
+    depth = trie.depth
+    for s in states:
+        suffix = s.suffix
+        if len(suffix) > depth:
+            cut = len(suffix) - max(depth - trie.levels[s.node] - 1, 1)
+            link = s._link
+            for x in suffix[:cut]:
+                link = (link, (x, None))
+            s._link = link
+            s.cost += cut
+            s.moves_len += cut
+            del suffix[:cut]
+
+
 def _best(states: list[State]) -> State:
     # The latest event's states are exactly those with an empty suffix, and
     # there is always one. A case's states are in creation order, so min()
@@ -338,6 +346,10 @@ class Engine:
             raise ValueError(
                 f"df {self.policy.df:g} is too large: the decay time on this trie is infinite"
             ) from None
+        # A stored suffix is never longer than its state is old, and no state
+        # outlives its case's root decay, so only a root decay past the
+        # trie's depth lets a suffix outgrow it.
+        self._long_suffixes = self._root_decay > config.trie.depth
         self._buffer: dict[str, _CaseEntry] = {}
         self._total_states = 0
         self.peak_total_states = 0
@@ -459,6 +471,8 @@ class Engine:
 
         for s in survivors:
             s.suffix.append(code)
+        if self._long_suffixes and entry.events_seen > self.trie.depth:
+            _commit_unmatchable(self.trie, survivors)
 
         for s in new_states:
             s.state_id = entry.next_state_id

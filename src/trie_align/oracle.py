@@ -1,10 +1,9 @@
-"""Brute-force optimal alignment costs over the trie, for verification.
+"""Optimal alignment costs over the trie, for verification.
 
 Dynamic programming over (trie node, trace position) cells gives the true
-optimal prefix and complete alignment costs; a plain enumerative search
-over move sequences double-checks the DP on tiny instances. Everything
-here is a correctness oracle, deliberately independent of the streaming
-engine's data structures, and makes no attempt at being fast.
+optimal prefix and complete alignment costs. It is a correctness oracle,
+deliberately independent of the streaming engine's data structures, and
+makes no attempt at being fast.
 
 Recurrence, for node ``n`` with parent ``p`` and the 1-based trace
 position ``i``::
@@ -28,11 +27,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .trie import ROOT, Trie
-
-
-class BoundTooSmallError(ValueError):
-    """Raised when the enumeration bound cannot certify an optimal cost."""
+from .trie import Trie
 
 
 def _columns(trace: Sequence[int], trie: Trie) -> Iterator[list[int]]:
@@ -81,48 +76,3 @@ def optimal_complete(trace: Sequence[int], trie: Trie) -> int:
         pass
     return min(cost + rest for cost, rest in zip(last, trie.min_to_end))
 
-
-def exhaustive_prefix(trace: Sequence[int], trie: Trie, depth_bound: int) -> int:
-    """Optimal prefix cost by enumerating move sequences up to ``depth_bound``.
-
-    Every legal sequence interleaves synchronous, log, and model moves; a
-    sequence of length L consuming the whole trace carries at least
-    ``L - len(trace)`` model moves and at least that much cost. A solution
-    longer than the bound therefore costs at least
-    ``depth_bound + 1 - len(trace)``, so a found cost B with
-    ``B <= depth_bound - len(trace) + 1`` cannot be beaten and the
-    enumeration is provably complete.
-
-    Intended for tiny instances only (the search is exponential).
-
-    Raises:
-        BoundTooSmallError: if the bound cannot certify optimality.
-    """
-    trace = list(trace)
-    children = trie.children
-    best = len(trace)  # all-log-moves solution always exists
-
-    def search(node: int, pos: int, cost: int, depth: int) -> None:
-        nonlocal best
-        if cost >= best:
-            return
-        if pos == len(trace):
-            best = cost
-            return
-        if depth == depth_bound:
-            return
-        symbol = trace[pos]
-        child = children[node].get(symbol)
-        if child is not None:
-            search(child, pos + 1, cost, depth + 1)
-        search(node, pos + 1, cost + 1, depth + 1)
-        for kid in children[node].values():
-            search(kid, pos, cost + 1, depth + 1)
-
-    search(ROOT, 0, 0, 0)
-    if best > depth_bound - len(trace) + 1:
-        raise BoundTooSmallError(
-            f"depth bound {depth_bound} cannot certify optimality for a "
-            f"length-{len(trace)} trace (best found: {best})"
-        )
-    return best

@@ -233,9 +233,6 @@ class Trie:
         codes.reverse()
         return codes
 
-    def node_path_labels(self, node_id: int) -> list[str]:
-        return [self.alphabet.label(c) for c in self.node_path_codes(node_id)]
-
     def walk(self, seq: list[int] | tuple[int, ...]) -> int | None:
         """Node reached by following ``seq`` from the root, or None."""
         node = ROOT
@@ -352,7 +349,8 @@ def load_trie(payload: bytes) -> Trie:
             JSON, missing fields, empty, non-string or repeated activity
             labels, a node row that is not three ints ``parent, label,
             end`` with an earlier parent, a known label and an end flag
-            of 0 or 1, or header counts that disagree with the node table).
+            of 0 or 1, or header counts that are not ints or disagree
+            with the node table).
     """
     try:
         doc = json.loads(payload.decode("utf-8"))
@@ -366,10 +364,12 @@ def load_trie(payload: bytes) -> Trie:
     try:
         names = list(doc["alphabet"])
         rows = doc["nodes"]
-        node_count = int(doc["node_count"])
-        end_count = int(doc["end_count"])
+        node_count = doc["node_count"]
+        end_count = doc["end_count"]
     except (KeyError, TypeError, ValueError) as exc:
         raise TrieFormatError(f"corrupt trie payload: {exc}") from exc
+    if type(node_count) is not int or type(end_count) is not int:
+        raise TrieFormatError("corrupt trie payload: header counts must be ints")
     if not all(isinstance(name, str) and name for name in names):
         raise TrieFormatError("corrupt trie payload: activity labels must be non-empty strings")
     alphabet = ActivityTable(names)

@@ -6,6 +6,8 @@ import pytest
 
 from trie_align import ActivityTable, ProxyLog, build_trie, parse_proxy_log
 
+from .reference import node_path_labels
+
 # Proxy traces of a small workflow with an optional rework loop; the shared
 # worked example used throughout the suite. 22 distinct non-root prefixes,
 # 8 end nodes, leaf depths {6,4,5,6,6,3,6,4}.
@@ -78,7 +80,7 @@ def snapshot_case(engine, trie, case_id):
         rows.append(
             (
                 s.state_id,
-                "".join(trie.node_path_labels(s.node)),
+                "".join(node_path_labels(trie, s.node)),
                 labelize_moves(trie, s.moves()),
                 [trie.alphabet.label(x) for x in s.suffix],
                 s.cost,

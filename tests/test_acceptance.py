@@ -20,14 +20,12 @@ from trie_align import (
     decay_time,
     expand_model_moves,
     optimal_prefix_costs,
-    sync_move,
 )
 from trie_align.cli import simulate_stream
-from trie_align.engine import State
 from trie_align.events import ProxyLog
-from trie_align.oracle import exhaustive_prefix
 
 from .conftest import labelize_moves, snapshot_case
+from .reference import State, exhaustive_prefix, sync_move
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -110,7 +108,7 @@ def test_c2_prefix_and_complete_alignment_fixture(workflow_trie):
         [("a", "a"), ("b", "b"), (None, "d"), ("b", "b"), ("c", "c")],
     )
     full = complete_alignment(best, workflow_trie)
-    full_moves = labelize_moves(workflow_trie, full.moves)
+    full_moves = labelize_moves(workflow_trie, full)
     ok = (
         best.cost == 1
         and moves in optimal_prefixes

@@ -4,22 +4,25 @@ import pytest
 
 from trie_align import (
     UNKNOWN,
-    Alignment,
     DecayPolicy,
     Engine,
     EngineConfig,
-    InvalidMoveError,
     Move,
-    alignment_cost,
     alignment_pairs,
     complete_alignment,
-    log_move,
     model_move,
     render_text,
+)
+
+from .reference import (
+    InvalidMoveError,
+    State,
+    alignment_cost,
+    is_sync,
+    log_move,
     sync_move,
     validate,
 )
-from trie_align.engine import State
 
 
 def moves_for(table, pattern: str):
@@ -55,7 +58,7 @@ class TestCost:
 
     def test_cost_equals_length_minus_sync_count(self, workflow_trie):
         moves = moves_for(workflow_trie.alphabet, "s:a l:b m:c s:e l:a")
-        sync_count = sum(1 for m in moves if m.is_sync)
+        sync_count = sum(1 for m in moves if is_sync(m))
         assert alignment_cost(moves) == len(moves) - sync_count
 
 
@@ -70,8 +73,8 @@ class TestCompleteAlignment:
         best = engine.best_state("c1")
         result = complete_alignment(best, workflow_trie)
         table = workflow_trie.alphabet
-        assert result.kind == "complete"
-        assert result.moves == moves_for(table, "s:a s:b l:b s:c m:e")
+        assert validate(result, [table.code(x) for x in "abbc"], workflow_trie, complete=True)
+        assert result == moves_for(table, "s:a s:b l:b s:c m:e")
         assert alignment_cost(result) == 2
         assert alignment_cost(result) == best.cost + workflow_trie.min_to_end[best.node]
 
@@ -81,7 +84,7 @@ class TestCompleteAlignment:
             engine.process("c1", activity)
         best = engine.best_state("c1")
         result = complete_alignment(best, workflow_trie)
-        assert result.moves == best.moves()
+        assert result == best.moves()
         assert alignment_cost(result) == 0
 
     def test_midway_state_appends_single_model_move(self, workflow_trie):
@@ -89,7 +92,7 @@ class TestCompleteAlignment:
         ab = workflow_trie.walk([table.code("a"), table.code("b")])
         state = State.make(node=ab, moves=moves_for(table, "s:a s:b"), cost=0, decay=1)
         result = complete_alignment(state, workflow_trie)
-        assert result.moves[-1] == model_move(table.code("e"))
+        assert result[-1] == model_move(table.code("e"))
         assert alignment_cost(result) == 1
 
     def test_pending_suffix_rejected(self, workflow_trie):
@@ -102,37 +105,37 @@ class TestValidate:
     def test_engine_prefix_alignment_validates(self, workflow_trie):
         table = workflow_trie.alphabet
         observed = [table.code(x) for x in "abbc"]
-        alignment = Alignment(moves_for(table, "s:a s:b l:b s:c"))
+        alignment = moves_for(table, "s:a s:b l:b s:c")
         assert validate(alignment, observed, workflow_trie)
 
     def test_log_projection_mismatch(self, workflow_trie):
         table = workflow_trie.alphabet
-        alignment = Alignment(moves_for(table, "s:a s:b"))
+        alignment = moves_for(table, "s:a s:b")
         assert not validate(alignment, [table.code("a")], workflow_trie)
 
     def test_model_projection_must_be_a_path(self, workflow_trie):
         table = workflow_trie.alphabet
         z = table.intern("z")
-        alignment = Alignment((sync_move(table.code("a")), model_move(z)))
+        alignment = (sync_move(table.code("a")), model_move(z))
         assert not validate(alignment, [table.code("a")], workflow_trie)
 
     def test_complete_must_end_at_end_node(self, workflow_trie):
         table = workflow_trie.alphabet
         observed = [table.code("a")]
-        prefix_only = Alignment(moves_for(table, "s:a"), kind="complete")
-        assert not validate(prefix_only, observed, workflow_trie)
-        full = Alignment(moves_for(table, "s:a m:b m:e"), kind="complete")
-        assert validate(full, observed, workflow_trie)
+        prefix_only = moves_for(table, "s:a")
+        assert not validate(prefix_only, observed, workflow_trie, complete=True)
+        full = moves_for(table, "s:a m:b m:e")
+        assert validate(full, observed, workflow_trie, complete=True)
 
     def test_illegal_move_fails_validation(self, workflow_trie):
-        alignment = Alignment((Move(None, None),))
+        alignment = (Move(None, None),)
         assert not validate(alignment, [], workflow_trie)
 
 
 class TestRendering:
     def test_two_row_text(self, workflow_trie):
         table = workflow_trie.alphabet
-        alignment = Alignment(moves_for(table, "s:a s:b l:b s:c m:e"), kind="complete")
+        alignment = moves_for(table, "s:a s:b l:b s:c m:e")
         text = render_text(alignment, "abbc", table.label)
         trace_row, model_row = text.splitlines()
         assert trace_row == "trace | a b b  c >>"
@@ -140,7 +143,7 @@ class TestRendering:
 
     def test_json_pairs(self, workflow_trie):
         table = workflow_trie.alphabet
-        alignment = Alignment(moves_for(table, "s:a l:b") + (log_move(UNKNOWN),))
+        alignment = moves_for(table, "s:a l:b") + (log_move(UNKNOWN),)
         assert alignment_pairs(alignment, ["a", "b", "zz"], table.label) == [
             {"log": "a", "model": "a"},
             {"log": "b", "model": None},
@@ -149,11 +152,7 @@ class TestRendering:
 
     def test_observed_labels_must_pair_with_log_moves(self, workflow_trie):
         table = workflow_trie.alphabet
-        alignment = Alignment(moves_for(table, "s:a l:b"))
+        alignment = moves_for(table, "s:a l:b")
         for observed in ("a", "abc"):
             with pytest.raises(ValueError):
                 alignment_pairs(alignment, observed, table.label)
-
-    def test_kind_is_checked(self):
-        with pytest.raises(ValueError):
-            Alignment((), kind="partial")

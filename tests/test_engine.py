@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -10,16 +11,15 @@ from trie_align import (
     Engine,
     EngineConfig,
     UnknownCaseError,
+    build_trie,
     decay_time,
     expand_model_moves,
-    log_move,
     serialize_trie,
-    sync_move,
 )
-from trie_align.engine import State
 from trie_align.trie import ROOT, Trie
 
-from .conftest import labelize_moves, snapshot_case
+from .conftest import WORKFLOW_TRACES, labelize_moves, snapshot_case
+from .reference import State, log_move, node_path_labels, sync_move
 from .test_properties import reference_expand
 
 
@@ -146,7 +146,7 @@ class TestModelMoves:
             ("b", "b"),
         ]
         assert out[0].cost == 1
-        assert "".join(workflow_trie.node_path_labels(out[0].node)) == "abdb"
+        assert "".join(node_path_labels(workflow_trie, out[0].node)) == "abdb"
 
     def test_suffix_pruning_recovers_deeper_match(self, forked_trie):
         # Pending c,x,y,z below node b: no full match exists, but dropping
@@ -252,6 +252,58 @@ class TestModelMoves:
             ("y", "y"),
             ("z", "z"),
         ]
+
+
+class TestSuffixBound:
+    # Under a decay that never expires, survivors keep every event of their
+    # case pending unless the engine commits the oldest as log moves.
+    NEVER_EXPIRES = DecayPolicy(df=1e307, min_dt=3)
+
+    def test_stored_suffixes_stay_within_the_trie_depth(self, workflow_trie):
+        engine = Engine(EngineConfig(trie=workflow_trie, decay=self.NEVER_EXPIRES))
+        for _ in range(2000):
+            engine.process("c", "a")
+        suffixes = [len(s.suffix) for s in engine.states("c")]
+        assert suffixes and max(suffixes) <= workflow_trie.depth
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_committing_old_events_changes_no_new_state(self, workflow_proxy, seed):
+        # A trie that reads unboundedly deep never commits and never cuts a
+        # search, so its engine keeps every suffix whole.
+        bounded = build_trie(workflow_proxy)
+        unbounded = build_trie(workflow_proxy)
+        unbounded._depth = 10**9
+        # Whole model traces between bursts of noise: deep matches after a
+        # long pending suffix, where a wrong cut would show.
+        rng = random.Random(seed)
+        cases = []
+        for k in range(12):
+            activities: list[str] = []
+            while len(activities) < 30:
+                if rng.random() < 0.5:
+                    activities += rng.choices("abcdexy", k=rng.randrange(1, 4))
+                else:
+                    activities += rng.choice(WORKFLOW_TRACES)
+            cases.append((f"c{k}", activities))
+        engines = [
+            Engine(EngineConfig(trie=trie, decay=self.NEVER_EXPIRES))
+            for trie in (bounded, unbounded)
+        ]
+        for case_id, activities in cases:
+            for activity in activities:
+                got, expected = (_outcome(engine, case_id, activity) for engine in engines)
+                assert got == expected
+        stored = [s for case_id, _ in cases for s in engines[1].states(case_id)]
+        assert max(len(s.suffix) for s in stored) > bounded.depth
+
+
+def _outcome(engine, case_id, activity):
+    """Everything one event yields: its new states in full, and the case's best."""
+    result = engine.process(case_id, activity)
+    new_states = [
+        (s.state_id, s.node, s.cost, s.decay, s.moves(), s.parent_id) for s in result.new_states
+    ]
+    return result.sync, result.best_cost, new_states, engine.best_state(case_id).state_id
 
 
 class TestQueries:

@@ -7,14 +7,9 @@ from pathlib import Path
 import pytest
 
 import trie_align.oracle
-from trie_align import (
-    BoundTooSmallError,
-    build_trie,
-    exhaustive_prefix,
-    optimal_complete,
-    optimal_prefix,
-    parse_proxy_log,
-)
+from trie_align import build_trie, optimal_complete, optimal_prefix, parse_proxy_log
+
+from .reference import BoundTooSmallError, exhaustive_prefix
 
 
 def enc(trie, labels: str) -> list[int]:

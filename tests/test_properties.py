@@ -10,8 +10,6 @@ from trie_align import (
     Engine,
     EngineConfig,
     ProxyLog,
-    State,
-    alignment_cost,
     build_trie,
     complete_alignment,
     decay_time,
@@ -21,9 +19,10 @@ from trie_align import (
     parse_event_log,
     serialize_event_log,
     serialize_trie,
-    validate,
 )
 from trie_align.cli import simulate_stream
+
+from .reference import State, alignment_cost, validate
 
 ALPHA = "abcdef"
 
@@ -199,8 +198,9 @@ def test_engine_invariants_on_random_streams(proxy, trace, decay_mode):
         observed.append(trie.alphabet.code(label))
         states = engine.states("case")
 
-        # Decay safety and the per-case buffer bound.
+        # Decay safety, the per-state suffix bound and the per-case buffer bound.
         assert all(s.decay >= 1 for s in states)
+        assert all(len(s.suffix) <= trie.depth for s in states)
         stats = engine.case_stats("case")
         assert stats.peak_states <= (trie.max_branching + 1) * stats.max_decay_issued
         assert len(result.new_states) <= trie.max_branching + 1
@@ -210,14 +210,14 @@ def test_engine_invariants_on_random_streams(proxy, trace, decay_mode):
         finished = [s for s in states if not s.suffix]
         assert finished
         best = engine.best_state("case")
-        assert validate(best.alignment(), observed, trie)
-        assert alignment_cost(best.alignment()) == best.cost
+        assert validate(best.moves(), observed, trie)
+        assert alignment_cost(best.moves()) == best.cost
 
         # Completing any finished state pays exactly its remaining distance.
         for state in finished:
             full = complete_alignment(state, trie)
             assert alignment_cost(full) == state.cost + trie.min_to_end[state.node]
-            assert validate(full, observed, trie)
+            assert validate(full, observed, trie, complete=True)
 
         # Approximation sanity: never below the true optimum; exact (zero)
         # when the observed prefix is itself a trie path.

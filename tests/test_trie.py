@@ -196,6 +196,24 @@ class TestSerialization:
         with pytest.raises(TrieFormatError):
             load_trie(json.dumps(doc).encode())
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("node_count", "4"),
+            ("node_count", 4.7),
+            ("node_count", 4.0),
+            ("end_count", "2"),
+            ("end_count", 2.0),
+        ],
+    )
+    def test_header_counts_must_be_exact_ints(self, field, value):
+        # Four nodes, two of them end nodes: each of these values used to load.
+        doc = json.loads(serialize_trie(build_trie(parse_proxy_log("a,b\na,c\n"))))
+        assert (doc["node_count"], doc["end_count"]) == (4, 2)
+        doc[field] = value
+        with pytest.raises(TrieFormatError, match="header counts"):
+            load_trie(json.dumps(doc).encode())
+
     @pytest.mark.parametrize("alphabet", [["b", "a", "a"], [5, 6], ["a", ""]])
     def test_bad_alphabet_rejected(self, alphabet):
         doc = json.loads(serialize_trie(build_trie(ProxyLog((("a", "b"),)))))
