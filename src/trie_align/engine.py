@@ -16,14 +16,17 @@ event suffix, the alignment cost, and a decay counter. Per arriving event:
    flushes its whole pending suffix plus the event as log moves, and
    model-move states found by a bounded look-ahead below its node, at
    most one level deeper than the pending events are long and never
-   below the trie's deepest level. With two or more events pending it
-   probes only the nodes that carry the first pending event and have a
-   child carrying the second, through the trie's pair index; a single
-   pending event is looked up among the node's children and
-   grandchildren (see :func:`expand_model_moves`).
+   below the trie's deepest level. With two or more events pending, one
+   slice of the trie's pair index per round gives the only nodes worth
+   probing: those below that carry the first pending event and have a
+   child carrying the second. A single pending event is looked up among
+   the node's children and grandchildren (see :func:`expand_model_moves`).
    Candidates are admitted against a running cost minimum; only those
    matching the final minimum are kept, with at most one state per trie
-   node.
+   node. The minimum starts at the cheapest log move's cost, which the
+   final one never exceeds, and bounds each search: a search stops as
+   soon as nothing it can still find would be admitted, so the outcome
+   is the same as with unbounded searches.
 
 Either step admits at most ``max_branching + 1`` new states per event,
 fewer when the case is near its bound; the cap truncates
@@ -58,7 +61,7 @@ from typing import NamedTuple
 from .alignment import Move
 from .trie import ROOT, Trie
 
-#: Admission sentinel, larger than any reachable alignment cost.
+#: The search's default bound, larger than any reachable alignment cost.
 UNBOUNDED_COST = float("inf")
 
 
@@ -189,8 +192,10 @@ class _CaseEntry:
         self.peak_states = 0
 
 
-def expand_model_moves(trie: Trie, state: State, code: int, decay: int) -> list[State]:
-    """Model-move successors of ``state`` for event ``code``.
+def expand_model_moves(
+    trie: Trie, state: State, code: int, decay: int, bound: float = UNBOUNDED_COST
+) -> list[State]:
+    """Model-move successors of ``state`` for event ``code`` that cost at most ``bound``.
 
     Looks below the state's node for a start node from which the whole
     pending sequence (suffix plus the new event) matches as a downward
@@ -200,12 +205,13 @@ def expand_model_moves(trie: Trie, state: State, code: int, decay: int) -> list[
     on a node, so they lie at least ``len(pending) - 1`` levels above the
     trie's deepest level, and older pending events that cannot fit above
     it are dropped at once, keeping at least the newest. With two or more
-    events pending, level by level, the trie's pair index
-    (:meth:`Trie.starts_at`) yields only the nodes that carry the first
-    pending event and have a child labeled the second, in breadth-first
-    order, and each is checked with :meth:`Trie.path_match`. With one
-    event pending, a start node is its own match: it is the node's child
-    labeled with it or, failing that, each child's such child in
+    events pending, one probe of the trie's pair index
+    (:meth:`Trie.starts_at`) yields the nodes below that carry the first
+    pending event and have a child labeled the second; those within reach
+    are stably sorted by level, which leaves each level in breadth-first
+    order, and checked with :meth:`Trie.path_match` level by level. With
+    one event pending, a start node is its own match: it is the node's
+    child labeled with it or, failing that, each child's such child in
     ascending code order, which is the same breadth-first order. The
     shallowest matching level wins and all matches at that level are
     returned.
@@ -219,11 +225,22 @@ def expand_model_moves(trie: Trie, state: State, code: int, decay: int) -> list[
     Emitted alignments read: dropped log moves first, then one model move
     per node strictly between the state's node and the match start, then
     synchronous moves for the matched sequence. Cost grows by the number
-    of dropped events plus the number of model moves.
+    of dropped events plus the number of model moves, so all matches of
+    one round cost the same.
+
+    The result is the unbounded search's when that cost is at most
+    ``bound``, and empty otherwise. The search stops as soon as that is
+    settled: when the drops alone cost more than the bound, or when the
+    shallowest match lies deeper than the bound allows. A round still
+    looks past the bound's depth before the next drop, because a match
+    there ends the unbounded search too. Only when the drops leave no
+    model move to spare does a miss on the first level below the node end
+    it, as every later round costs more.
     """
     labels = trie.labels
+    levels = trie.levels
     children = trie.children
-    base_level = trie.levels[state.node]
+    base_level = levels[state.node]
     depth = trie.depth
 
     pending = list(state.suffix)
@@ -237,6 +254,10 @@ def expand_model_moves(trie: Trie, state: State, code: int, decay: int) -> list[
         del pending[:cut]
 
     while True:
+        # Model moves this round can afford: a match d levels down costs d - 1.
+        slack = bound - state.cost - len(dropped)
+        if slack < 0:
+            return []
         matches: list[tuple[int, int]] = []
         if len(pending) == 1:
             # A one-event path is its own start node: a child of the
@@ -246,21 +267,32 @@ def expand_model_moves(trie: Trie, state: State, code: int, decay: int) -> list[
             hit = kids.get(only)
             if hit is not None:
                 matches.append((hit, hit))
-            else:
+            elif slack >= 1:
                 for kid in kids.values():
                     hit = children[kid].get(only)
                     if hit is not None:
                         matches.append((hit, hit))
+            if not matches:
+                return []  # no model move exists
         else:
-            first, second = pending[0], pending[1]
             span = len(pending)
-            for level in range(base_level + 1, min(base_level + span, depth - span) + 2):
-                for nid in trie.starts_at(state.node, first, second, level):
-                    terminal = trie.path_match(nid, pending)
-                    if terminal is not None:
-                        matches.append((nid, terminal))
-                if matches:
+            top = base_level + 1 if slack < 1 else min(base_level + span, depth - span) + 1
+            starts = [
+                nid
+                for nid in trie.starts_at(state.node, pending[0], pending[1])
+                if levels[nid] <= top
+            ]
+            starts.sort(key=levels.__getitem__)
+            for nid in starts:
+                level = levels[nid]
+                if matches and level > match_level:
                     break
+                terminal = trie.path_match(nid, pending)
+                if terminal is not None:
+                    if level - base_level - 1 > slack:
+                        return []
+                    matches.append((nid, terminal))
+                    match_level = level
 
         if matches:
             out = []
@@ -292,10 +324,7 @@ def expand_model_moves(trie: Trie, state: State, code: int, decay: int) -> list[
                 )
             return out
 
-        if len(pending) > 1:
-            dropped.append(pending.pop(0))
-            continue
-        return []
+        dropped.append(pending.pop(0))
 
 
 def _commit_unmatchable(trie: Trie, states: list[State]) -> None:
@@ -421,13 +450,16 @@ class Engine:
             # strictly cheaper candidate clears the kept ones; on a node
             # clash the shorter alignment wins, first come first kept on
             # equal length. A replaced state keeps its node's first position
-            # in the dict, so the order stays generation order.
-            min_cost: float | int = UNBOUNDED_COST
+            # in the dict, so the order stays generation order. The running
+            # minimum starts at the cheapest log move's cost, which the final
+            # minimum never exceeds, so nothing dearer is built or searched
+            # for: the search gets the running minimum as its bound.
+            min_cost = min(s.cost + len(s.suffix) for s in generation) + 1
             per_node: dict[int, State] = {}
             for s in generation:
                 pending_len = len(s.suffix) + 1
                 log_cost = s.cost + pending_len
-                cands = expand_model_moves(self.trie, s, code, fresh_decay)
+                cands = expand_model_moves(self.trie, s, code, fresh_decay, min_cost)
                 # The log move is built only when it can be admitted, and
                 # ranks before this state's model moves.
                 if log_cost <= min_cost:

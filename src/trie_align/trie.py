@@ -16,15 +16,13 @@ Construction also builds a search index over a preorder numbering that
 visits children in ascending code order: ``pre[n]`` is a node's position,
 ``by_pre`` maps a position back to its node id, and the subtree of ``n``
 is the position interval ``[pre[n], pre[n] + size[n])``. ``buckets``
-maps an activity pair ``(code, next_code)`` to one sorted array with an
-entry ``level * node_count + pre[n]`` for each node ``n`` that carries
-``code`` and has a child labeled ``next_code``: one entry per trie edge
-below the root. The entries of one level are consecutive and in
-preorder, so the nodes at one level below a given node from which a
-two-event path starts are a bisected slice of one bucket
-(:meth:`Trie.starts_at`). Within one level, preorder order is
-breadth-first order. The index is derived data: it is not serialized and
-:func:`load_trie` rebuilds it.
+maps an activity pair ``(code, next_code)`` to one ascending array of
+the positions ``pre[n]`` of the nodes ``n`` that carry ``code`` and have
+a child labeled ``next_code``: one entry per trie edge below the root.
+So the nodes below a given node from which a two-event path starts are
+one bisected slice of one bucket (:meth:`Trie.starts_at`), in preorder;
+within one level, preorder order is breadth-first order. The index is
+derived data: it is not serialized and :func:`load_trie` rebuilds it.
 
 The structure is immutable after :func:`build_trie` and safe to share
 across threads for read-only queries.
@@ -143,20 +141,19 @@ class Trie:
         self.by_pre = by_pre
 
         # One bucket per activity pair (code, child code). Every edge below
-        # the root adds its parent as ``level * n + position``, so a sorted
-        # bucket holds the parents level by level, each level in preorder.
+        # the root adds its parent's preorder position; a node has one child
+        # per label, so a sorted bucket holds each position once.
         pairs: dict[tuple[int, int], list[int]] = {}
         for kid in range(1, n):
             parent = parents[kid]
             if parent:
                 key = (labels[parent], labels[kid])
-                entry = levels[parent] * n + pre[parent]
                 bucket = pairs.get(key)
                 if bucket is None:
-                    pairs[key] = [entry]
+                    pairs[key] = [pre[parent]]
                 else:
-                    bucket.append(entry)
-        self.buckets = {key: array("q", sorted(entries)) for key, entries in pairs.items()}
+                    bucket.append(pre[parent])
+        self.buckets = {key: array("i", sorted(entries)) for key, entries in pairs.items()}
 
     @property
     def depth(self) -> int:
@@ -185,23 +182,21 @@ class Trie:
             node = nxt
         return node
 
-    def starts_at(self, node_id: int, code: int, next_code: int, level: int) -> list[int]:
-        """Strict descendants of ``node_id`` at ``level`` that carry ``code``
-        and have a child labeled ``next_code``.
+    def starts_at(self, node_id: int, code: int, next_code: int) -> list[int]:
+        """Strict descendants of ``node_id`` that carry ``code`` and have a
+        child labeled ``next_code``.
 
-        Node ids in preorder, which within one level is breadth-first
-        order. Empty for a pair no edge carries, including any pair with
-        the code of an activity the trie lacks.
+        Node ids in preorder, at every level below the node. Empty for a
+        pair no edge carries, including any pair with the code of an
+        activity the trie lacks.
         """
         bucket = self.buckets.get((code, next_code))
         if bucket is None:
             return []
-        base = level * self.node_count
-        start = base + self.pre[node_id]
+        start = self.pre[node_id]
         lo = bisect_left(bucket, start + 1)
         hi = bisect_left(bucket, start + self.size[node_id], lo)
-        by_pre = self.by_pre
-        return [by_pre[entry - base] for entry in bucket[lo:hi]]
+        return list(map(self.by_pre.__getitem__, bucket[lo:hi]))
 
     def min_completion_path(self, node_id: int) -> list[int]:
         """A shortest label path from ``node_id`` down to some end node.

@@ -14,13 +14,20 @@ from trie_align import (
     build_trie,
     decay_time,
     expand_model_moves,
+    parse_proxy_log,
     serialize_trie,
 )
+from trie_align import engine as engine_module
+from trie_align.cli import simulate_stream
 from trie_align.trie import ROOT, Trie
 
 from .conftest import WORKFLOW_TRACES, labelize_moves, snapshot_case
 from .reference import State, log_move, node_path_labels, sync_move
 from .test_properties import reference_expand
+
+
+def state_view(s):
+    return (s.state_id, s.node, s.cost, s.decay, s.parent_id, s.moves_len, s.moves(), s.suffix)
 
 
 def fixed_engine(trie, value=2):
@@ -235,6 +242,67 @@ class TestModelMoves:
                 (s.node, s.cost, s.moves()) for s in expected
             ]
         assert counts[0] > 0 and counts == [counts[0]] * 3
+
+    def test_one_index_probe_per_multi_event_round(self, workflow_trie, monkeypatch):
+        # A pending sequence that matches nowhere runs every drop round: one
+        # starts_at slice for each round with two or more events, none for
+        # the last, single event.
+        trie = workflow_trie
+        nowhere = len(trie.alphabet)  # in no node
+        calls = []
+        original = Trie.starts_at
+
+        def counting_starts_at(self, *args):
+            calls.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(Trie, "starts_at", counting_starts_at)
+        for k in range(1, 6):
+            state = State.make(node=ROOT, moves=(), suffix=[nowhere] * k, decay=2)
+            calls.clear()
+            assert expand_model_moves(trie, state, nowhere, decay=2) == []
+            assert len(calls) == k
+
+    def test_search_bound_does_not_change_the_engine(self, workflow_trie, monkeypatch):
+        # The engine bounds each search by its running cost minimum; an
+        # unbounded search must leave every result and best state as is.
+        rng = random.Random(11)
+        traces = "\n".join(
+            ",".join(rng.choice("abcdef") for _ in range(rng.randrange(2, 9))) for _ in range(40)
+        )
+        random_trie = build_trie(parse_proxy_log(traces + "\n"))
+        policies = [DecayPolicy(), DecayPolicy(df=0, min_dt=1), DecayPolicy(df=5, min_dt=3)]
+
+        def run(trie, policy, seed):
+            engine = Engine(EngineConfig(trie=trie, decay=policy))
+            out = []
+            for frame in simulate_stream(trie, 0.3, seed=seed, max_events=1500, duration=None):
+                result = engine.process(frame.case_id, frame.activity)
+                best = engine.best_state(frame.case_id)
+                out.append(
+                    (
+                        result.sync,
+                        result.best_cost,
+                        [state_view(s) for s in result.new_states],
+                        state_view(best),
+                    )
+                )
+            return out
+
+        runs = [
+            (trie, policy, seed)
+            for trie in (workflow_trie, random_trie)
+            for policy in policies
+            for seed in (1, 2)
+        ]
+        bounded = [run(*args) for args in runs]
+        original = engine_module.expand_model_moves
+
+        def unbounded(trie, state, code, decay, bound=None):
+            return original(trie, state, code, decay)
+
+        monkeypatch.setattr(engine_module, "expand_model_moves", unbounded)
+        assert [run(*args) for args in runs] == bounded
 
     def test_engine_reaches_pruned_alignment(self, forked_trie):
         # End to end: with a decay window long enough to keep the b-state

@@ -125,9 +125,8 @@ def reference_expand(trie, state, code, decay):
         return []
 
 
-@given(st.randoms(use_true_random=False))
-@settings(max_examples=300, deadline=None)
-def test_indexed_search_matches_the_level_walk(rng):
+def random_search(rng):
+    """A seeded trie, a state on it and a next event code, for the search."""
     # Traces open with a or b, so later activities recur at one depth in
     # several branches and matches tie on depth. Prefixes of traces make
     # end nodes that have children.
@@ -144,12 +143,32 @@ def test_indexed_search_matches_the_level_walk(rng):
     code = rng.randrange(len(trie.alphabet) + 1)
     history = [(None, c) for c in trie.node_path_codes(node)]
     state = State.make(node, history, suffix=suffix, cost=len(history), decay=2)
+    return trie, state, code
 
+
+def search_view(states):
+    return [(s.node, s.cost, s.moves_len, s.moves(), s.suffix, s.decay) for s in states]
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_indexed_search_matches_the_level_walk(rng):
+    trie, state, code = random_search(rng)
     got = expand_model_moves(trie, state, code, decay=3)
     expected = reference_expand(trie, state, code, decay=3)
-    assert [(s.node, s.cost, s.moves_len, s.moves(), s.suffix, s.decay) for s in got] == [
-        (s.node, s.cost, s.moves_len, s.moves(), s.suffix, s.decay) for s in expected
-    ]
+    assert search_view(got) == search_view(expected)
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_bounded_search_keeps_exactly_the_states_within_the_bound(rng):
+    trie, state, code = random_search(rng)
+    expected = reference_expand(trie, state, code, decay=3)
+    assert search_view(expand_model_moves(trie, state, code, decay=3)) == search_view(expected)
+    pending = len(state.suffix) + 1
+    for bound in range(state.cost - 1, state.cost + pending + 2):
+        got = expand_model_moves(trie, state, code, decay=3, bound=bound)
+        assert search_view(got) == search_view(s for s in expected if s.cost <= bound)
 
 
 @given(

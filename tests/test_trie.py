@@ -258,6 +258,14 @@ def descendants(trie, node) -> set[int]:
     return out
 
 
+def preorder(trie, node) -> list[int]:
+    """The node and everything below it, children in ascending code order."""
+    out = [node]
+    for code in sorted(trie.children[node]):
+        out += preorder(trie, trie.children[node][code])
+    return out
+
+
 def index_of(trie) -> tuple:
     return (
         list(trie.pre),
@@ -290,35 +298,46 @@ class TestSearchIndex:
         seen = []
         for (code, next_code), bucket in trie.buckets.items():
             assert all(a < b for a, b in zip(bucket, bucket[1:]))
-            for entry in bucket:
-                level, pos = divmod(entry, trie.node_count)
+            for pos in bucket:
+                assert 0 <= pos < trie.node_count
                 node = trie.by_pre[pos]
-                assert (trie.labels[node], trie.levels[node]) == (code, level)
+                assert trie.labels[node] == code
                 seen.append((node, trie.children[node][next_code]))
         edges = [(trie.parents[k], k) for k in range(1, trie.node_count) if trie.parents[k] != ROOT]
         assert sorted(seen) == sorted(edges)
 
     def test_starts_at_is_breadth_first_order(self, trie):
+        # The slice is every strict descendant with the pair, in preorder;
+        # stably sorted by level it is breadth-first order level by level.
         alphabet = range(len(trie.alphabet))
         for node in range(trie.node_count):
-            frontier = [node]
-            for level in range(trie.levels[node] + 1, trie.levels[node] + 4):
-                frontier = [k for n in frontier for k in trie.children[n].values()]
-                for code in alphabet:
-                    for next_code in alphabet:
-                        expected = [
+            below = preorder(trie, node)[1:]
+            for code in alphabet:
+                for next_code in alphabet:
+                    got = trie.starts_at(node, code, next_code)
+                    assert got == [
+                        k for k in below if trie.labels[k] == code and next_code in trie.children[k]
+                    ]
+                    by_level = sorted(got, key=trie.levels.__getitem__)
+                    frontier = [node]
+                    for level in range(trie.levels[node] + 1, trie.depth + 1):
+                        frontier = [k for n in frontier for k in trie.children[n].values()]
+                        assert [k for k in by_level if trie.levels[k] == level] == [
                             k
                             for k in frontier
                             if trie.labels[k] == code and next_code in trie.children[k]
                         ]
-                        assert trie.starts_at(node, code, next_code, level) == expected
 
     def test_starts_at_unknown_code_or_level(self, trie):
         unknown = len(trie.alphabet) + 3
         code, next_code = next(iter(trie.buckets))
-        assert trie.starts_at(ROOT, unknown, next_code, 1) == []
-        assert trie.starts_at(ROOT, code, unknown, 1) == []
-        assert trie.starts_at(ROOT, code, next_code, max(trie.levels) + 5) == []
+        assert trie.starts_at(ROOT, unknown, next_code) == []
+        assert trie.starts_at(ROOT, code, unknown) == []
+        assert trie.starts_at(ROOT, code, next_code) != []
+        # Nothing lies below the deepest level, nor below any other leaf.
+        for node in range(trie.node_count):
+            if not trie.children[node]:
+                assert all(trie.starts_at(node, *pair) == [] for pair in trie.buckets)
 
     def test_load_rebuilds_the_same_index(self, trie):
         assert index_of(load_trie(serialize_trie(trie))) == index_of(trie)
