@@ -93,9 +93,6 @@ class ProxyLog:
             if not seq:
                 raise ValueError(f"proxy trace {i} is empty")
 
-    def __len__(self) -> int:
-        return len(self.traces)
-
 
 class ActivityTable:
     """Bidirectional mapping between activity labels and dense codes 0..n-1.

@@ -198,7 +198,7 @@ def simulate_stream(
                 return
             while len(active) < cases_in_flight:
                 end = end_ids[rng.randrange(len(end_ids))]
-                activities = noiser.apply([label_of(c) for c in trie.end_path_codes(end)])
+                activities = noiser.apply([label_of(c) for c in trie.node_path_codes(end)])
                 case_counter += 1
                 if activities:
                     active.append((f"sim-{case_counter}", activities, 0))

@@ -6,11 +6,16 @@ proxy trace terminates) and the minimum remaining path length to some end
 node. A node can be an end node and still have children when one proxy
 trace is a prefix of another.
 
+A trie is determined by its end paths. :class:`Trie` inserts code paths;
+:func:`build_trie` interns a proxy log's traces into them, and a trie file
+holds one per end node, in the order that keeps node ids (see
+:func:`serialize_trie`).
+
 Nodes live in parallel arrays indexed by a dense node id; the root is id 0
 and every child id is greater than its parent's, so a reverse id sweep
-visits children before parents. The :class:`Trie` constructor rebuilds
-the children maps with keys in ascending activity-code order, which makes
-every iteration-order-dependent tie-break deterministic.
+visits children before parents. The constructor sorts the children maps
+by ascending activity code, which makes every iteration-order-dependent
+tie-break deterministic.
 
 Construction also builds a search index over a preorder numbering that
 visits children in ascending code order: ``pre[n]`` is a node's position,
@@ -24,8 +29,8 @@ one bisected slice of one bucket (:meth:`Trie.starts_at`), in preorder;
 within one level, preorder order is breadth-first order. The index is
 derived data: it is not serialized and :func:`load_trie` rebuilds it.
 
-The structure is immutable after :func:`build_trie` and safe to share
-across threads for read-only queries.
+The structure is immutable after construction and safe to share across
+threads for read-only queries.
 """
 
 from __future__ import annotations
@@ -33,13 +38,14 @@ from __future__ import annotations
 import json
 from array import array
 from bisect import bisect_left
+from collections.abc import Iterable, Sequence
 
 from .events import ActivityTable, ProxyLog
 
 ROOT = 0
 ROOT_LABEL = -1
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 class TrieError(ValueError):
@@ -51,7 +57,14 @@ class TrieFormatError(ValueError):
 
 
 class Trie:
-    """Prefix tree over interned activity sequences. Build via :func:`build_trie`."""
+    """Prefix tree over the code paths given, which index ``alphabet``.
+
+    Paths are inserted from the root in the order given, nodes take ids in
+    the order they are created, and the last node of a path is an end node.
+
+    Raises:
+        TrieError: if there are no paths.
+    """
 
     __slots__ = (
         "labels",
@@ -72,15 +85,29 @@ class Trie:
         "_depth",
     )
 
-    def __init__(
-        self,
-        labels: list[int],
-        parents: list[int],
-        levels: list[int],
-        children: list[dict[int, int]],
-        is_end: list[bool],
-        alphabet: ActivityTable,
-    ) -> None:
+    def __init__(self, paths: Iterable[Sequence[int]], alphabet: ActivityTable) -> None:
+        labels = [ROOT_LABEL]
+        parents = [-1]
+        levels = [0]
+        children: list[dict[int, int]] = [{}]
+        is_end = [False]
+        for path in paths:
+            node = ROOT
+            for code in path:
+                nxt = children[node].get(code)
+                if nxt is None:
+                    nxt = len(labels)
+                    labels.append(code)
+                    parents.append(node)
+                    levels.append(levels[node] + 1)
+                    children.append({})
+                    is_end.append(False)
+                    children[node][code] = nxt
+                node = nxt
+            is_end[node] = True
+        if len(labels) == 1:
+            raise TrieError("cannot build a trie from no paths")
+
         self.labels = labels
         self.parents = parents
         self.levels = levels
@@ -119,14 +146,12 @@ class Trie:
                     min_to_end[nid] = 1 + min(map(min_to_end.__getitem__, kids.values()))
                 if len(kids) > max_branching:
                     max_branching = len(kids)
-            elif is_end[nid]:
+            else:  # a leaf, which ends its path
                 leaf_level_sum += levels[nid]
                 leaves += 1
-            else:
-                raise TrieError(f"leaf node {nid} is not an end node")
         self.min_to_end = min_to_end
         self.size = size
-        self.avg_leaf_depth = leaf_level_sum / leaves if leaves else 0.0
+        self.avg_leaf_depth = leaf_level_sum / leaves
         # Without a fork the trie is one chain, as wide as its root.
         self.max_branching = max_branching or len(children[ROOT])
 
@@ -249,12 +274,6 @@ class Trie:
         """
         return [self.alphabet.label(code) for code in sorted(set(self.labels[1:]))]
 
-    def end_path_codes(self, end_id: int) -> list[int]:
-        """Root-to-end label codes for one end node (a distinct proxy trace)."""
-        if not self.is_end[end_id]:
-            raise ValueError(f"node {end_id} is not an end node")
-        return self.node_path_codes(end_id)
-
     # -- equality (serialization round-trips) ----------------------------
 
     def _structure(self) -> tuple:
@@ -285,53 +304,30 @@ def build_trie(proxy: ProxyLog) -> Trie:
     """Construct the prefix trie for a proxy log.
 
     One node per distinct prefix; the terminal node of every proxy trace is
-    flagged as an end node. Labels are interned into a fresh table.
+    flagged as an end node. Labels are interned into a fresh table in
+    order of first appearance, and the traces become the trie's paths.
 
     Raises:
         TrieError: if the proxy log holds no traces.
     """
-    if len(proxy) == 0:
-        raise TrieError("cannot build a trie from an empty proxy log")
     table = ActivityTable()
-
-    labels = [ROOT_LABEL]
-    parents = [-1]
-    levels = [0]
-    children: list[dict[int, int]] = [{}]
-    is_end = [False]
-
-    for seq in proxy.traces:
-        node = ROOT
-        for label in seq:
-            code = table.intern(label)
-            nxt = children[node].get(code)
-            if nxt is None:
-                nxt = len(labels)
-                labels.append(code)
-                parents.append(node)
-                levels.append(levels[node] + 1)
-                children.append({})
-                is_end.append(False)
-                children[node][code] = nxt
-            node = nxt
-        is_end[node] = True
-
-    return Trie(labels, parents, levels, children, is_end, table)
+    return Trie(([table.intern(label) for label in seq] for seq in proxy.traces), table)
 
 
 def serialize_trie(trie: Trie) -> bytes:
-    """Serialize a trie to a versioned JSON payload (UTF-8 bytes)."""
+    """Serialize a trie to a versioned JSON payload (UTF-8 bytes).
+
+    The payload is ``{"version": 2, "alphabet": [...], "paths": [...]}``:
+    the table's labels in code order and one code path per end node, in
+    end-node id order. The nodes with ids up to an end node's are exactly
+    the nodes on the paths of the end nodes up to it, so inserting the
+    paths in this order gives every node its old id, and with it every
+    tie-break and the search index. Nothing derived is stored.
+    """
     doc = {
         "version": _FORMAT_VERSION,
-        "node_count": trie.node_count,
-        "end_count": trie.end_count,
-        "avg_leaf_depth": trie.avg_leaf_depth,
-        "max_branching": trie.max_branching,
         "alphabet": trie.alphabet.labels(),
-        "nodes": [
-            [trie.parents[n], trie.labels[n], int(trie.is_end[n])]
-            for n in range(1, trie.node_count)
-        ],
+        "paths": [trie.node_path_codes(end) for end in trie.end_node_ids()],
     }
     return json.dumps(doc, separators=(",", ":")).encode("utf-8")
 
@@ -339,13 +335,14 @@ def serialize_trie(trie: Trie) -> bytes:
 def load_trie(payload: bytes) -> Trie:
     """Load a trie serialized by :func:`serialize_trie`.
 
+    A payload of another version (a version-1 node table included) is
+    rejected; rebuild its trie from the proxy log with ``build-trie``.
+
     Raises:
-        TrieFormatError: on a version mismatch or corrupt payload (bad
-            JSON, missing fields, empty, non-string or repeated activity
-            labels, a node row that is not three ints ``parent, label,
-            end`` with an earlier parent, a known label and an end flag
-            of 0 or 1, or header counts that are not ints or disagree
-            with the node table).
+        TrieFormatError: on a version that is not the int 2 or a corrupt
+            payload (bad JSON, an alphabet that is not a list of distinct
+            non-empty strings, or a path list that is empty or holds
+            anything but non-empty lists of in-range int codes).
     """
     try:
         doc = json.loads(payload.decode("utf-8"))
@@ -354,63 +351,24 @@ def load_trie(payload: bytes) -> Trie:
     if not isinstance(doc, dict):
         raise TrieFormatError("corrupt trie payload: not a JSON object")
     version = doc.get("version")
-    if version != _FORMAT_VERSION:
+    if type(version) is not int or version != _FORMAT_VERSION:
         raise TrieFormatError(f"unsupported trie format version: {version!r}")
-    try:
-        names = list(doc["alphabet"])
-        rows = doc["nodes"]
-        node_count = doc["node_count"]
-        end_count = doc["end_count"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TrieFormatError(f"corrupt trie payload: {exc}") from exc
-    if type(node_count) is not int or type(end_count) is not int:
-        raise TrieFormatError("corrupt trie payload: header counts must be ints")
-    if not all(isinstance(name, str) and name for name in names):
-        raise TrieFormatError("corrupt trie payload: activity labels must be non-empty strings")
+    names = doc.get("alphabet")
+    if type(names) is not list or not all(type(name) is str and name for name in names):
+        raise TrieFormatError(
+            "corrupt trie payload: activity labels must be a list of non-empty strings"
+        )
     alphabet = ActivityTable(names)
     if len(alphabet) != len(names):
         raise TrieFormatError("corrupt trie payload: duplicate activity label")
-
-    if node_count != len(rows) + 1:
-        raise TrieFormatError(
-            f"corrupt trie payload: header says {node_count} nodes, table has {len(rows) + 1}"
-        )
-
-    labels = [ROOT_LABEL]
-    parents = [-1]
-    levels = [0]
-    children: list[dict[int, int]] = [{}]
-    is_end = [False]
-    n_labels = len(alphabet)
-    for nid, row in enumerate(rows, start=1):
-        try:
-            parent, label, end = row
-        except (TypeError, ValueError) as exc:
-            raise TrieFormatError(f"corrupt trie payload: bad node row {nid}") from exc
-        # Exact ints only: a float, string or bool field is corrupt, not coerced.
-        if (
-            type(parent) is not int
-            or type(label) is not int
-            or type(end) is not int
-            or not (0 <= parent < nid and 0 <= label < n_labels and 0 <= end <= 1)
+    paths = doc.get("paths")
+    if type(paths) is not list or not paths:
+        raise TrieFormatError("corrupt trie payload: paths must be a non-empty list")
+    n_labels = len(names)
+    for i, path in enumerate(paths):
+        # Exact ints only: a float, string or bool code is corrupt, not coerced.
+        if type(path) is not list or not path or not all(
+            type(code) is int and 0 <= code < n_labels for code in path
         ):
-            raise TrieFormatError(f"corrupt trie payload: bad node row {nid}")
-        labels.append(label)
-        parents.append(parent)
-        levels.append(levels[parent] + 1)
-        children.append({})
-        is_end.append(end == 1)
-        if label in children[parent]:
-            raise TrieFormatError(f"corrupt trie payload: duplicate child at node {parent}")
-        children[parent][label] = nid
-
-    # Free the parsed rows first: fewer live objects for the garbage
-    # collector to walk while the search index is built.
-    del doc, rows
-    try:
-        trie = Trie(labels, parents, levels, children, is_end, alphabet)
-    except TrieError as exc:
-        raise TrieFormatError(f"corrupt trie payload: {exc}") from exc
-    if trie.end_count != end_count:
-        raise TrieFormatError("corrupt trie payload: end-count header mismatch")
-    return trie
+            raise TrieFormatError(f"corrupt trie payload: bad path {i}")
+    return Trie(paths, alphabet)

@@ -180,7 +180,7 @@ def test_c5_c6_oracle_soundness_and_buffer_bound(workflow_trie):
 
     conforming_failures = 0
     for end in workflow_trie.end_node_ids():
-        path = workflow_trie.end_path_codes(end)
+        path = workflow_trie.node_path_codes(end)
         for policy in policies:
             engine = Engine(EngineConfig(trie=workflow_trie, decay=policy))
             for code in path:

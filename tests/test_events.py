@@ -78,7 +78,7 @@ class TestParseProxyLog:
             "a,b,c,d,b,e\na,b,c,e\na,b,d,b,e\na,b,d,b,c,e\n"
             "a,b,d,c,b,e\na,b,e\na,c,b,d,b,e\na,c,b,e\n"
         )
-        assert len(proxy) == 8
+        assert len(proxy.traces) == 8
         assert proxy.traces[0] == ("a", "b", "c", "d", "b", "e")
 
     def test_single_activity_line(self):

@@ -18,14 +18,22 @@ from trie_align.trie import ROOT
 
 from .conftest import WORKFLOW_TRACES
 
-# serialize_trie output for the workflow trie, fixed before the search
-# index existed: the index must never reach the file format.
+# serialize_trie output for the workflow trie: one code path per end node,
+# in end-node id order. The search index must never reach the file format.
 WORKFLOW_PAYLOAD = (
+    b'{"version":2,"alphabet":["a","b","c","d","e"],"paths":[[0,1,2,3,1,4],[0,1,2,4],'
+    b"[0,1,3,1,4],[0,1,3,1,2,4],[0,1,3,2,1,4],[0,1,4],[0,2,1,3,1,4],[0,2,1,4]]}"
+)
+
+# The same trie in the version-1 node-table format, which no longer loads.
+WORKFLOW_PAYLOAD_V1 = (
     b'{"version":1,"node_count":23,"end_count":8,"avg_leaf_depth":5.0,"max_branching":3,'
     b'"alphabet":["a","b","c","d","e"],"nodes":[[0,0,0],[1,1,0],[2,2,0],[3,3,0],[4,1,0],'
     b"[5,4,1],[3,4,1],[2,3,0],[8,1,0],[9,4,1],[9,2,0],[11,4,1],[8,2,0],[13,1,0],[14,4,1],"
     b"[2,4,1],[1,2,0],[17,1,0],[18,3,0],[19,1,0],[20,4,1],[18,4,1]]}"
 )
+
+MISSING = object()
 
 
 def distinct_prefixes(traces) -> set[tuple[str, ...]]:
@@ -162,7 +170,7 @@ class TestQueries:
     def test_end_paths_spell_proxy_traces(self, workflow_trie):
         spelled = set()
         for end in workflow_trie.end_node_ids():
-            codes = workflow_trie.end_path_codes(end)
+            codes = workflow_trie.node_path_codes(end)
             spelled.add(tuple(workflow_trie.alphabet.label(c) for c in codes))
         assert spelled == {tuple(t) for t in WORKFLOW_TRACES}
 
@@ -170,14 +178,6 @@ class TestQueries:
 class TestSerialization:
     def test_round_trip_structural_equality(self, workflow_trie):
         assert load_trie(serialize_trie(workflow_trie)) == workflow_trie
-
-    def test_header_records_node_count(self, workflow_trie):
-        doc = json.loads(serialize_trie(workflow_trie))
-        assert doc["node_count"] == 23
-        assert doc["end_count"] == 8
-        assert doc["avg_leaf_depth"] == pytest.approx(5.0)
-        assert doc["max_branching"] == 3
-        assert doc["version"] == 1
 
     def test_truncated_payload_rejected(self, workflow_trie):
         payload = serialize_trie(workflow_trie)
@@ -190,29 +190,9 @@ class TestSerialization:
         with pytest.raises(TrieFormatError, match="version"):
             load_trie(json.dumps(doc).encode())
 
-    def test_header_count_mismatch_rejected(self, workflow_trie):
-        doc = json.loads(serialize_trie(workflow_trie))
-        doc["node_count"] += 1
-        with pytest.raises(TrieFormatError):
-            load_trie(json.dumps(doc).encode())
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("node_count", "4"),
-            ("node_count", 4.7),
-            ("node_count", 4.0),
-            ("end_count", "2"),
-            ("end_count", 2.0),
-        ],
-    )
-    def test_header_counts_must_be_exact_ints(self, field, value):
-        # Four nodes, two of them end nodes: each of these values used to load.
-        doc = json.loads(serialize_trie(build_trie(parse_proxy_log("a,b\na,c\n"))))
-        assert (doc["node_count"], doc["end_count"]) == (4, 2)
-        doc[field] = value
-        with pytest.raises(TrieFormatError, match="header counts"):
-            load_trie(json.dumps(doc).encode())
+    def test_version_1_payload_rejected(self):
+        with pytest.raises(TrieFormatError, match="version"):
+            load_trie(WORKFLOW_PAYLOAD_V1)
 
     @pytest.mark.parametrize("alphabet", [["b", "a", "a"], [5, 6], ["a", ""]])
     def test_bad_alphabet_rejected(self, alphabet):
@@ -222,23 +202,37 @@ class TestSerialization:
             load_trie(json.dumps(doc).encode())
 
     @pytest.mark.parametrize(
-        "row",
+        "field, value, match",
         [
-            [0, 1.9, 0],  # a float label once truncated to code 1
-            ["0", "2", 0],  # string fields once parsed as ints
-            [0, 0, "0"],  # a string end flag once read as true
-            [0, 0, 2],
-            [0, 0, True],
-            [0, 0, 0, 7],  # a fourth field once ignored
-            [0, 0],
-            7,
+            pytest.param("paths", [[0, 1], 7], "bad path 1", id="path-not-a-list"),
+            pytest.param("paths", [[0, 1], []], "bad path 1", id="empty-path"),
+            pytest.param("paths", [[0, 1.0], [0, 2]], "bad path 0", id="code-1.0"),
+            pytest.param("paths", [[0, 1.9], [0, 2]], "bad path 0", id="code-1.9"),
+            pytest.param("paths", [[0, "1"], [0, 2]], "bad path 0", id="code-str"),
+            pytest.param("paths", [[0, True], [0, 2]], "bad path 0", id="code-bool"),
+            pytest.param("paths", [[0, -1], [0, 2]], "bad path 0", id="code-negative"),
+            pytest.param("paths", [[0, 3], [0, 2]], "bad path 0", id="code-past-alphabet"),
+            pytest.param("paths", MISSING, "paths", id="paths-missing"),
+            pytest.param("paths", [], "paths", id="paths-empty"),
+            pytest.param("paths", {"0": [0, 1]}, "paths", id="paths-object"),
+            # list() would split a string into labels or take a mapping's keys.
+            pytest.param("alphabet", "abc", "activity label", id="alphabet-str"),
+            pytest.param(
+                "alphabet", {"a": 0, "b": 1, "c": 2}, "activity label", id="alphabet-object"
+            ),
+            # True and 2.0 compare equal to ints; only the int 2 loads.
+            pytest.param("version", True, "version", id="version-bool"),
+            pytest.param("version", 2.0, "version", id="version-float"),
         ],
     )
-    def test_malformed_node_row_rejected(self, row):
+    def test_corrupt_payload_rejected(self, field, value, match):
         doc = json.loads(serialize_trie(build_trie(ProxyLog((("a", "b"), ("a", "c"))))))
-        assert doc["nodes"][0] == [0, 0, 0]
-        doc["nodes"][0] = row
-        with pytest.raises(TrieFormatError, match="bad node row 1"):
+        assert doc == {"version": 2, "alphabet": ["a", "b", "c"], "paths": [[0, 1], [0, 2]]}
+        if value is MISSING:
+            del doc[field]
+        else:
+            doc[field] = value
+        with pytest.raises(TrieFormatError, match=match):
             load_trie(json.dumps(doc).encode())
 
 
