@@ -16,11 +16,14 @@ event suffix, the alignment cost, and a decay counter. Per arriving event:
    flushes its whole pending suffix plus the event as log moves, and
    model-move states found by a bounded look-ahead below its node, at
    most one level deeper than the pending events are long and never
-   below the trie's deepest level. With two or more events pending, one
-   slice of the trie's pair index per round gives the only nodes worth
-   probing: those below that carry the first pending event and have a
-   child carrying the second. A single pending event is looked up among
-   the node's children and grandchildren (see :func:`expand_model_moves`).
+   below the trie's deepest level. With two or more events pending,
+   every match, after any drops of the oldest, ends in the newest two, so
+   one slice of the trie's pair index per search gives the only nodes
+   worth probing: those below that carry the second-newest event and have
+   a child carrying the newest. Their parent links tell which drop round
+   each one serves and where its match starts. A single pending event is
+   looked up among the node's children and grandchildren (see
+   :func:`expand_model_moves`).
    Candidates are admitted against a running cost minimum; only those
    matching the final minimum are kept, with at most one state per trie
    node. The minimum starts at the cheapest log move's cost, which the
@@ -202,25 +205,30 @@ def expand_model_moves(
     path. Start nodes lie at most ``len(pending) + 1`` levels down: any
     deeper match would need more model moves than flushing everything as
     log moves costs, so it could never be admitted. A match must also end
-    on a node, so they lie at least ``len(pending) - 1`` levels above the
-    trie's deepest level, and older pending events that cannot fit above
-    it are dropped at once, keeping at least the newest. With two or more
-    events pending, one probe of the trie's pair index
-    (:meth:`Trie.starts_at`) yields the nodes below that carry the first
-    pending event and have a child labeled the second; those within reach
-    are stably sorted by level, which leaves each level in breadth-first
-    order, and checked with :meth:`Trie.path_match` level by level. With
-    one event pending, a start node is its own match: it is the node's
-    child labeled with it or, failing that, each child's such child in
-    ascending code order, which is the same breadth-first order. The
-    shallowest matching level wins and all matches at that level are
-    returned.
+    on a node, so older pending events that cannot fit between the node
+    and the trie's deepest level are dropped at once, keeping at least
+    the newest. The shallowest matching level wins and all matches at
+    that level are returned, in breadth-first order.
 
-    If no level matches and more than one event is pending, the oldest
+    If nothing matches and more than one event is pending, the oldest
     pending event is dropped (it becomes a log move in the emitted
-    alignment) and the search restarts with the shortened sequence; with
-    a single pending event left, no model move exists and the result is
-    empty.
+    alignment) and the search looks again for the shortened sequence;
+    with a single pending event left, no model move exists and the
+    result is empty. Round ``i`` thus looks for ``pending[i:]``, and the
+    first round with a match wins.
+
+    With two or more events pending, every round's match ends in the
+    newest two, so one probe of the trie's pair index
+    (:meth:`Trie.starts_at`) yields every node that can carry the
+    second-newest event on a match: those below that carry it and have a
+    child labeled the newest. From each, the parent links that spell
+    older pending events, up to just below the state's node, give the
+    earliest round it serves and that round's start. The earliest round
+    served by any node wins, and its shallowest starts, in the slice's
+    preorder, are the breadth-first order. With one event pending, a start
+    node is its own match: it is the node's child labeled with it or,
+    failing that, each child's such child in ascending code order, which
+    is the same breadth-first order.
 
     Emitted alignments read: dropped log moves first, then one model move
     per node strictly between the state's node and the match start, then
@@ -229,16 +237,13 @@ def expand_model_moves(
     one round cost the same.
 
     The result is the unbounded search's when that cost is at most
-    ``bound``, and empty otherwise. The search stops as soon as that is
-    settled: when the drops alone cost more than the bound, or when the
-    shallowest match lies deeper than the bound allows. A round still
-    looks past the bound's depth before the next drop, because a match
-    there ends the unbounded search too. Only when the drops leave no
-    model move to spare does a miss on the first level below the node end
-    it, as every later round costs more.
+    ``bound``, and empty otherwise. Nodes whose earliest round needs more
+    drops than the bound affords are passed over, and no probe is made
+    when the up-front drops alone cost more than the bound.
     """
     labels = trie.labels
     levels = trie.levels
+    parents = trie.parents
     children = trie.children
     base_level = levels[state.node]
     depth = trie.depth
@@ -253,78 +258,94 @@ def expand_model_moves(
         dropped = pending[:cut]
         del pending[:cut]
 
-    while True:
-        # Model moves this round can afford: a match d levels down costs d - 1.
-        slack = bound - state.cost - len(dropped)
-        if slack < 0:
+    # What the bound leaves for further drops and model moves: a match d
+    # levels down costs d - 1.
+    slack = bound - state.cost - len(dropped)
+    if slack < 0:
+        return []
+    n = len(pending)
+    matches: list[tuple[int, int]] = []
+    if n > 1:
+        # Round i's start lies at most n - i + 1 levels down and its
+        # second-newest node n - i - 2 below that: at most 2n - 1 down.
+        top = base_level + 2 * n - 1
+        # (round, start level) of the winners; with no start, round n - 1
+        # leaves the newest event alone, costing only its drops.
+        best = (n - 1, base_level + 1)
+        starts: list[int] = []
+        for node in trie.starts_at(state.node, pending[-2], code):
+            level = levels[node]
+            if level > top:
+                continue
+            # Up the parents while they spell older pending events, staying
+            # below the state's node: the earliest round i this node serves
+            # and that round's start.
+            start = node
+            i = n - 2
+            while i and level > base_level + 1 and labels[parents[start]] == pending[i - 1]:
+                start = parents[start]
+                level -= 1
+                i -= 1
+            # Past what the bound affords in drops, or past the round's reach.
+            if i > slack or level - base_level - 1 > n - i:
+                continue
+            key = (i, level)
+            if key < best:
+                best = key
+                starts = [start]
+            elif key == best:
+                starts.append(start)
+        i, level = best
+        dropped += pending[:i]
+        del pending[:i]
+        slack -= i
+        if level - base_level - 1 > slack:
             return []
-        matches: list[tuple[int, int]] = []
-        if len(pending) == 1:
-            # A one-event path is its own start node: a child of the
-            # state's node or, failing that, a grandchild.
-            (only,) = pending
-            kids = children[state.node]
-            hit = kids.get(only)
-            if hit is not None:
-                matches.append((hit, hit))
-            elif slack >= 1:
-                for kid in kids.values():
-                    hit = children[kid].get(only)
-                    if hit is not None:
-                        matches.append((hit, hit))
-            if not matches:
-                return []  # no model move exists
-        else:
-            span = len(pending)
-            top = base_level + 1 if slack < 1 else min(base_level + span, depth - span) + 1
-            starts = [
-                nid
-                for nid in trie.starts_at(state.node, pending[0], pending[1])
-                if levels[nid] <= top
-            ]
-            starts.sort(key=levels.__getitem__)
-            for nid in starts:
-                level = levels[nid]
-                if matches and level > match_level:
-                    break
-                terminal = trie.path_match(nid, pending)
-                if terminal is not None:
-                    if level - base_level - 1 > slack:
-                        return []
-                    matches.append((nid, terminal))
-                    match_level = level
+        matches = [(start, trie.path_match(start, pending)) for start in starts]
+    if not matches:
+        # A one-event path is its own start node: a child of the state's
+        # node or, failing that, a grandchild.
+        (only,) = pending
+        kids = children[state.node]
+        hit = kids.get(only)
+        if hit is not None:
+            matches.append((hit, hit))
+        elif slack >= 1:
+            for kid in kids.values():
+                hit = children[kid].get(only)
+                if hit is not None:
+                    matches.append((hit, hit))
+        if not matches:
+            return []  # no model move exists
 
-        if matches:
-            out = []
-            for start, terminal in matches:
-                between: list[int] = []
-                parent = trie.parents[start]
-                while parent != state.node:
-                    between.append(labels[parent])
-                    parent = trie.parents[parent]
-                between.reverse()
-                link = state._link
-                for x in dropped:
-                    link = (link, (x, None))
-                for m in between:
-                    link = (link, (None, m))
-                for y in pending:
-                    link = (link, (y, y))
-                out.append(
-                    State(
-                        state_id=-1,
-                        node=terminal,
-                        suffix=[],
-                        cost=state.cost + len(dropped) + len(between),
-                        decay=decay,
-                        link=link,
-                        moves_len=state.moves_len + len(dropped) + len(between) + len(pending),
-                        parent_id=state.state_id,
-                    )
-                )
-            return out
-
-        dropped.append(pending.pop(0))
+    out = []
+    for start, terminal in matches:
+        between: list[int] = []
+        parent = parents[start]
+        while parent != state.node:
+            between.append(labels[parent])
+            parent = parents[parent]
+        between.reverse()
+        link = state._link
+        for x in dropped:
+            link = (link, (x, None))
+        for m in between:
+            link = (link, (None, m))
+        for y in pending:
+            link = (link, (y, y))
+        out.append(
+            State(
+                state_id=-1,
+                node=terminal,
+                suffix=[],
+                cost=state.cost + len(dropped) + len(between),
+                decay=decay,
+                link=link,
+                moves_len=state.moves_len + len(dropped) + len(between) + len(pending),
+                parent_id=state.state_id,
+            )
+        )
+    return out
 
 
 def _commit_unmatchable(trie: Trie, states: list[State]) -> None:

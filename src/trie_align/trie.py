@@ -24,10 +24,12 @@ is the position interval ``[pre[n], pre[n] + size[n])``. ``buckets``
 maps an activity pair ``(code, next_code)`` to one ascending array of
 the positions ``pre[n]`` of the nodes ``n`` that carry ``code`` and have
 a child labeled ``next_code``: one entry per trie edge below the root.
-So the nodes below a given node from which a two-event path starts are
-one bisected slice of one bucket (:meth:`Trie.starts_at`), in preorder;
-within one level, preorder order is breadth-first order. The index is
-derived data: it is not serialized and :func:`load_trie` rebuilds it.
+So the nodes below a given node that a path ending in a given pair of
+labels passes through are one bisected slice of one bucket
+(:meth:`Trie.starts_at`), in preorder; within one level, preorder order
+is breadth-first order. The model-move search takes one slice per
+search, for its newest two pending events. The index is derived data:
+it is not serialized and :func:`load_trie` rebuilds it.
 
 The structure is immutable after construction and safe to share across
 threads for read-only queries.
@@ -252,16 +254,6 @@ class Trie:
             node = self.parents[node]
         codes.reverse()
         return codes
-
-    def walk(self, seq: list[int] | tuple[int, ...]) -> int | None:
-        """Node reached by following ``seq`` from the root, or None."""
-        node = ROOT
-        for code in seq:
-            nxt = self.children[node].get(code)
-            if nxt is None:
-                return None
-            node = nxt
-        return node
 
     def end_node_ids(self) -> list[int]:
         return [nid for nid, end in enumerate(self.is_end) if end]

@@ -74,7 +74,7 @@ def validate(
         return False
     if tuple(m.log for m in moves if m.log is not None) != tuple(observed_prefix):
         return False
-    node = trie.walk([m.model for m in moves if m.model is not None])
+    node = walk(trie, [m.model for m in moves if m.model is not None])
     if node is None:
         return False
     if complete and not trie.is_end[node]:
@@ -104,6 +104,16 @@ class State(engine.State):
             link = (link, tuple(move))
             count += 1
         return cls(state_id, node, list(suffix), cost, decay, link, count)
+
+
+def walk(trie: Trie, seq: Iterable[int]) -> int | None:
+    """Node reached by following ``seq`` from the root, or None."""
+    node = ROOT
+    for code in seq:
+        node = trie.children[node].get(code)
+        if node is None:
+            return None
+    return node
 
 
 def node_path_labels(trie: Trie, node_id: int) -> list[str]:

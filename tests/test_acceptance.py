@@ -25,7 +25,7 @@ from trie_align.cli import simulate_stream
 from trie_align.events import ProxyLog
 
 from .conftest import labelize_moves, snapshot_case
-from .reference import State, exhaustive_prefix, sync_move
+from .reference import State, exhaustive_prefix, sync_move, walk
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -129,7 +129,7 @@ def test_c3_discounted_decay_fixture():
 def test_c4_suffix_pruning_fixture(forked_trie):
     """Pending c,x,y,z under node b prunes c and lands on the deep tail."""
     table = forked_trie.alphabet
-    node_b = forked_trie.walk([table.code("b")])
+    node_b = walk(forked_trie, [table.code("b")])
     state = State.make(
         node=node_b,
         moves=(sync_move(table.code("b")),),

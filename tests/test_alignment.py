@@ -22,6 +22,7 @@ from .reference import (
     log_move,
     sync_move,
     validate,
+    walk,
 )
 
 
@@ -89,7 +90,7 @@ class TestCompleteAlignment:
 
     def test_midway_state_appends_single_model_move(self, workflow_trie):
         table = workflow_trie.alphabet
-        ab = workflow_trie.walk([table.code("a"), table.code("b")])
+        ab = walk(workflow_trie, [table.code("a"), table.code("b")])
         state = State.make(node=ab, moves=moves_for(table, "s:a s:b"), cost=0, decay=1)
         result = complete_alignment(state, workflow_trie)
         assert result[-1] == model_move(table.code("e"))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -22,7 +23,7 @@ from trie_align.cli import simulate_stream
 from trie_align.trie import ROOT, Trie
 
 from .conftest import WORKFLOW_TRACES, labelize_moves, snapshot_case
-from .reference import State, log_move, node_path_labels, sync_move
+from .reference import State, log_move, node_path_labels, sync_move, walk
 from .test_properties import reference_expand
 
 
@@ -32,6 +33,22 @@ def state_view(s):
 
 def fixed_engine(trie, value=2):
     return Engine(EngineConfig(trie=trie, decay=DecayPolicy(df=0, min_dt=value)))
+
+
+def seeded_random_trie():
+    """A 40-trace trie over six activities, the same on every call."""
+    rng = random.Random(11)
+    traces = "\n".join(
+        ",".join(rng.choice("abcdef") for _ in range(rng.randrange(2, 9))) for _ in range(40)
+    )
+    return build_trie(parse_proxy_log(traces + "\n"))
+
+
+POLICIES = {
+    "default": DecayPolicy(),
+    "fixed1": DecayPolicy(df=0, min_dt=1),
+    "discounted5": DecayPolicy(df=5, min_dt=3),
+}
 
 
 class TestDecayTime:
@@ -136,7 +153,7 @@ class TestModelMoves:
         # From node ab a second b only matches two levels down, at the b
         # under abd; the look-ahead budget (pending + 1 levels) allows it.
         table = workflow_trie.alphabet
-        ab = workflow_trie.walk([table.code("a"), table.code("b")])
+        ab = walk(workflow_trie, [table.code("a"), table.code("b")])
         state = State.make(
             node=ab,
             moves=(sync_move(table.code("a")), sync_move(table.code("b"))),
@@ -159,7 +176,7 @@ class TestModelMoves:
         # Pending c,x,y,z below node b: no full match exists, but dropping
         # c exposes the x,y,z tail one model move below.
         table = forked_trie.alphabet
-        node_b = forked_trie.walk([table.code("b")])
+        node_b = walk(forked_trie, [table.code("b")])
         state = State.make(
             node=node_b,
             moves=(sync_move(table.code("b")),),
@@ -181,7 +198,7 @@ class TestModelMoves:
 
     def test_leaf_state_has_no_model_moves(self, workflow_trie):
         table = workflow_trie.alphabet
-        leaf = workflow_trie.walk([table.code(x) for x in "abce"])
+        leaf = walk(workflow_trie, [table.code(x) for x in "abce"])
         state = State.make(node=leaf, moves=(), cost=0, decay=1)
         assert expand_model_moves(workflow_trie, state, table.code("a"), decay=1) == []
 
@@ -243,12 +260,15 @@ class TestModelMoves:
             ]
         assert counts[0] > 0 and counts == [counts[0]] * 3
 
-    def test_one_index_probe_per_multi_event_round(self, workflow_trie, monkeypatch):
-        # A pending sequence that matches nowhere runs every drop round: one
-        # starts_at slice for each round with two or more events, none for
-        # the last, single event.
+    def test_one_index_probe_per_multi_event_search(self, workflow_trie, monkeypatch):
+        # Every drop round's match ends in the newest two pending events, so
+        # a search with two or more of them makes exactly one starts_at call,
+        # whatever it finds and however many rounds it runs; a search with
+        # one makes none. The up-front depth cut leaves a search from level
+        # l at most max(depth - l, 1) events.
         trie = workflow_trie
-        nowhere = len(trie.alphabet)  # in no node
+        alphabet = range(len(trie.alphabet) + 1)  # the last code is in no node
+        nowhere = alphabet[-1]
         calls = []
         original = Trie.starts_at
 
@@ -257,21 +277,22 @@ class TestModelMoves:
             return original(self, *args)
 
         monkeypatch.setattr(Trie, "starts_at", counting_starts_at)
-        for k in range(1, 6):
-            state = State.make(node=ROOT, moves=(), suffix=[nowhere] * k, decay=2)
-            calls.clear()
-            assert expand_model_moves(trie, state, nowhere, decay=2) == []
-            assert len(calls) == k
+        sequences = [(nowhere,) * k for k in range(1, 9)]  # these run every round
+        for k in range(1, 5):
+            sequences += itertools.product(alphabet, repeat=k)
+        for node in range(trie.node_count):
+            searched = max(trie.depth - trie.levels[node], 1)
+            for pending in sequences:
+                state = State.make(node=node, moves=(), suffix=pending[:-1], decay=2)
+                calls.clear()
+                expand_model_moves(trie, state, pending[-1], decay=2)
+                assert len(calls) == (min(len(pending), searched) > 1)
 
     def test_search_bound_does_not_change_the_engine(self, workflow_trie, monkeypatch):
         # The engine bounds each search by its running cost minimum; an
         # unbounded search must leave every result and best state as is.
-        rng = random.Random(11)
-        traces = "\n".join(
-            ",".join(rng.choice("abcdef") for _ in range(rng.randrange(2, 9))) for _ in range(40)
-        )
-        random_trie = build_trie(parse_proxy_log(traces + "\n"))
-        policies = [DecayPolicy(), DecayPolicy(df=0, min_dt=1), DecayPolicy(df=5, min_dt=3)]
+        random_trie = seeded_random_trie()
+        policies = list(POLICIES.values())
 
         def run(trie, policy, seed):
             engine = Engine(EngineConfig(trie=trie, decay=policy))
@@ -320,6 +341,59 @@ class TestModelMoves:
             ("y", "y"),
             ("z", "z"),
         ]
+
+
+class TestPinnedOutcomes:
+    # SHA-256 over every event's outcome on 2,000 simulated events at 30%
+    # noise: whether it synced, its best cost and each new state in full.
+    # A change to the search that moves one state, cost or tie-break on
+    # any event changes its digest.
+    DIGESTS = {
+        ("workflow", "default"): (
+            "6397147cdd738dcd560e06bef58d104daea3f339916630ee9d673d2a99e5c8b3"
+        ),
+        ("workflow", "fixed1"): (
+            "523c4dcb5ad7814fbe8ff6369fe0054dfb7e9e918d02b39b5766ea65052626cc"
+        ),
+        ("workflow", "discounted5"): (
+            "7da21f3b61df16e48f1b786e25199bf5ce7944b8fc8583e97a5784c20d083ce0"
+        ),
+        ("random", "default"): (
+            "06095cf8d352afc7b22991d4bece127173d24b52a194939e73c771a1e3ff0f92"
+        ),
+        ("random", "fixed1"): (
+            "5cbdbf9325b40fe75092881bc19ca2f94deae1e10cefcfa612726e8309f9774b"
+        ),
+        ("random", "discounted5"): (
+            "dd5e8da5fde8fdc0e0913dddcec99dfbed683346b456cf18a93cd8c09744df2e"
+        ),
+    }
+
+    @pytest.mark.parametrize("trie_name, policy_name", sorted(DIGESTS))
+    def test_every_event_outcome_is_pinned(self, workflow_trie, trie_name, policy_name):
+        trie = workflow_trie if trie_name == "workflow" else seeded_random_trie()
+        engine = Engine(EngineConfig(trie=trie, decay=POLICIES[policy_name]))
+        digest = hashlib.sha256()
+        for event in simulate_stream(trie, 0.3, seed=7, max_events=2000, duration=None):
+            result = engine.process(event.case_id, event.activity)
+            outcome = (
+                result.sync,
+                result.best_cost,
+                [
+                    (
+                        s.state_id,
+                        s.node,
+                        s.cost,
+                        s.decay,
+                        s.parent_id,
+                        s.moves_len,
+                        [tuple(m) for m in s.moves()],
+                    )
+                    for s in result.new_states
+                ],
+            )
+            digest.update(repr(outcome).encode())
+        assert digest.hexdigest() == self.DIGESTS[trie_name, policy_name]
 
 
 class TestSuffixBound:

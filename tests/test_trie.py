@@ -17,6 +17,7 @@ from trie_align import (
 from trie_align.trie import ROOT
 
 from .conftest import WORKFLOW_TRACES
+from .reference import walk
 
 # serialize_trie output for the workflow trie: one code path per end node,
 # in end-node id order. The search index must never reach the file format.
@@ -55,7 +56,7 @@ class TestBuildTrie:
         assert workflow_trie.end_count == 8
         for trace in WORKFLOW_TRACES:
             codes = [workflow_trie.alphabet.code(a) for a in trace]
-            node = workflow_trie.walk(codes)
+            node = walk(workflow_trie, codes)
             assert node is not None and workflow_trie.is_end[node]
 
     def test_avg_leaf_depth(self, workflow_trie):
@@ -79,7 +80,7 @@ class TestBuildTrie:
     def test_single_activity_trace(self):
         trie = build_trie(ProxyLog((("a",),)))
         assert trie.node_count == 2
-        node = trie.walk([trie.alphabet.code("a")])
+        node = walk(trie, [trie.alphabet.code("a")])
         assert trie.is_end[node]
         assert trie.min_to_end[node] == 0
         assert trie.avg_leaf_depth == pytest.approx(1.0)
@@ -91,7 +92,7 @@ class TestBuildTrie:
     def test_end_node_with_children(self):
         # One sample trace being a prefix of another keeps both end markers.
         trie = build_trie(parse_proxy_log("a,b,c\na,b\n"))
-        ab = trie.walk([trie.alphabet.code("a"), trie.alphabet.code("b")])
+        ab = walk(trie, [trie.alphabet.code("a"), trie.alphabet.code("b")])
         assert trie.is_end[ab]
         assert trie.children[ab]
         assert trie.min_to_end[ab] == 0
@@ -110,7 +111,7 @@ class TestQueries:
 
     def test_missing_child(self, workflow_trie):
         table = workflow_trie.alphabet
-        ab = workflow_trie.walk([table.code("a"), table.code("b")])
+        ab = walk(workflow_trie, [table.code("a"), table.code("b")])
         assert workflow_trie.children[ab].get(table.code("b")) is None
 
     def test_unknown_code_child(self, workflow_trie):
@@ -118,33 +119,33 @@ class TestQueries:
 
     def test_path_match_single_node(self, workflow_trie):
         table = workflow_trie.alphabet
-        abd_b = workflow_trie.walk([table.code(x) for x in "abdb"])
+        abd_b = walk(workflow_trie, [table.code(x) for x in "abdb"])
         assert workflow_trie.path_match(abd_b, [table.code("b")]) == abd_b
 
     def test_path_match_descends(self, workflow_trie):
         table = workflow_trie.alphabet
-        abc = workflow_trie.walk([table.code(x) for x in "abc"])
-        expected = workflow_trie.walk([table.code(x) for x in "abce"])
+        abc = walk(workflow_trie, [table.code(x) for x in "abc"])
+        expected = walk(workflow_trie, [table.code(x) for x in "abce"])
         assert workflow_trie.path_match(abc, [table.code("c"), table.code("e")]) == expected
 
     def test_path_match_label_mismatch(self, workflow_trie):
         table = workflow_trie.alphabet
-        a = workflow_trie.walk([table.code("a")])
+        a = walk(workflow_trie, [table.code("a")])
         assert workflow_trie.path_match(a, [table.code("b")]) is None
 
     def test_min_completion_path(self, workflow_trie):
         table = workflow_trie.alphabet
-        abc = workflow_trie.walk([table.code(x) for x in "abc"])
+        abc = walk(workflow_trie, [table.code(x) for x in "abc"])
         assert workflow_trie.min_completion_path(abc) == [table.code("e")]
-        abce = workflow_trie.walk([table.code(x) for x in "abce"])
+        abce = walk(workflow_trie, [table.code(x) for x in "abce"])
         assert workflow_trie.min_completion_path(abce) == []
-        ab = workflow_trie.walk([table.code(x) for x in "ab"])
+        ab = walk(workflow_trie, [table.code(x) for x in "ab"])
         assert workflow_trie.min_completion_path(ab) == [table.code("e")]
 
     def test_min_completion_tie_breaks_on_smallest_code(self):
         trie = build_trie(parse_proxy_log("a,b\na,c\n"))
         table = trie.alphabet
-        a = trie.walk([table.code("a")])
+        a = walk(trie, [table.code("a")])
         assert trie.min_completion_path(a) == [table.code("b")]
 
     def test_model_activity_labels_ignore_stream_interning(self, workflow_proxy):
