@@ -22,7 +22,7 @@ from . import oracle as oracle_mod
 from .alignment import alignment_pairs
 from .engine import DecayPolicy, Engine, EngineConfig
 from .events import Event, ParseError, parse_event_log, parse_proxy_log
-from .stream import EngineSink, TcpSink, drive, serve as serve_stream, simulate_stream
+from .stream import EngineSink, TcpSink, replay, serve as serve_stream, simulate_stream
 from .trie import Trie, TrieError, TrieFormatError, build_trie, load_trie, serialize_trie
 
 EXIT_OK = 0
@@ -317,7 +317,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if max_events is None and args.duration is None:
         max_events = 10_000
     try:
-        # drive() would check the rate only once a TcpSink had connected.
+        # replay() would check the rate only once a TcpSink had connected.
         if args.rate is not None and not args.rate > 0:
             raise ValueError("--rate must be a positive number of events per second")
         trie = _load_trie_file(args.trie)
@@ -341,7 +341,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             return _fail(str(exc), EXIT_CONNECT)
         started = time.perf_counter()
         try:
-            sent = drive(events, sink, args.rate).events_processed
+            sent = replay(events, sink, rate=args.rate).events_processed
             server_metrics = sink.request_metrics()
         except OSError as exc:
             return _fail(f"connection to {args.connect} lost: {exc}", EXIT_CONNECT)
@@ -352,7 +352,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         _emit(report, args.json, [f"sent {sent} frames", f"server metrics: {server_metrics}"])
         return EXIT_OK
 
-    metrics = drive(events, EngineSink(engine), args.rate)
+    metrics = replay(events, EngineSink(engine), rate=args.rate)
     completed_costs = [engine.conformance_cost(case_id) for case_id in engine.case_ids()]
     report = {
         **metrics.to_dict(),

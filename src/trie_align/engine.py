@@ -110,8 +110,8 @@ class State:
     """One survivor: trie node, prefix alignment, pending suffix, cost, decay.
 
     The alignment is stored as a backward-linked chain of moves shared with
-    the parent state, so spawning a successor is O(1); :meth:`moves`
-    materializes it as the prefix alignment, a tuple of moves.
+    the parent state, so a successor costs one link per appended move;
+    :meth:`moves` materializes it as the prefix alignment, a tuple of moves.
     """
 
     __slots__ = ("state_id", "node", "suffix", "cost", "decay", "parent_id", "_link", "moves_len")
@@ -193,6 +193,18 @@ class _CaseEntry:
         self.events_seen = 0
         self.next_state_id = 0
         self.peak_states = 0
+
+
+def _successor(parent: State, node: int, moves: list[tuple], cost: int, decay: int) -> State:
+    """A new state on ``node``: ``parent``'s alignment plus ``moves``, at ``cost`` more.
+
+    Its suffix is empty and its id is assigned on admission.
+    """
+    link = parent._link
+    for move in moves:
+        link = (link, move)
+    moves_len = parent.moves_len + len(moves)
+    return State(-1, node, [], parent.cost + cost, decay, link, moves_len, parent.state_id)
 
 
 def expand_model_moves(
@@ -318,33 +330,18 @@ def expand_model_moves(
         if not matches:
             return []  # no model move exists
 
+    logs = [(x, None) for x in dropped]
+    syncs = [(y, y) for y in pending]
     out = []
     for start, terminal in matches:
-        between: list[int] = []
+        models = []
         parent = parents[start]
         while parent != state.node:
-            between.append(labels[parent])
+            models.append((None, labels[parent]))
             parent = parents[parent]
-        between.reverse()
-        link = state._link
-        for x in dropped:
-            link = (link, (x, None))
-        for m in between:
-            link = (link, (None, m))
-        for y in pending:
-            link = (link, (y, y))
-        out.append(
-            State(
-                state_id=-1,
-                node=terminal,
-                suffix=[],
-                cost=state.cost + len(dropped) + len(between),
-                decay=decay,
-                link=link,
-                moves_len=state.moves_len + len(dropped) + len(between) + len(pending),
-                parent_id=state.state_id,
-            )
-        )
+        models.reverse()
+        cost = len(logs) + len(models)
+        out.append(_successor(state, terminal, logs + models + syncs, cost, decay))
     return out
 
 
@@ -412,7 +409,8 @@ class Engine:
 
         ``activity`` may be a label or a code of the trie's table; a label
         the trie lacks codes as :data:`~trie_align.events.UNKNOWN`, which
-        its moves carry. Returns the per-event result.
+        its moves carry. ``timestamp`` is accepted for callers that pass
+        it positionally, and never read. Returns the per-event result.
         """
         code = self._code(activity) if isinstance(activity, str) else activity
 
@@ -452,18 +450,7 @@ class Engine:
                 continue
             child = children[s.node].get(code)
             if child is not None:
-                new_states.append(
-                    State(
-                        state_id=-1,
-                        node=child,
-                        suffix=[],
-                        cost=s.cost,
-                        decay=fresh_decay,
-                        link=(s._link, (code, code)),
-                        moves_len=s.moves_len + 1,
-                        parent_id=s.state_id,
-                    )
-                )
+                new_states.append(_successor(s, child, [(code, code)], 0, fresh_decay))
 
         synced = bool(new_states)
         if not synced:
@@ -478,29 +465,14 @@ class Engine:
             min_cost = min(s.cost + len(s.suffix) for s in generation) + 1
             per_node: dict[int, State] = {}
             for s in generation:
-                pending_len = len(s.suffix) + 1
-                log_cost = s.cost + pending_len
+                log_cost = s.cost + len(s.suffix) + 1
                 cands = expand_model_moves(self.trie, s, code, fresh_decay, min_cost)
                 # The log move is built only when it can be admitted, and
                 # ranks before this state's model moves.
                 if log_cost <= min_cost:
-                    link = s._link
-                    for x in s.suffix:
-                        link = (link, (x, None))
-                    link = (link, (code, None))
-                    cands.insert(
-                        0,
-                        State(
-                            state_id=-1,
-                            node=s.node,
-                            suffix=[],
-                            cost=log_cost,
-                            decay=fresh_decay,
-                            link=link,
-                            moves_len=s.moves_len + pending_len,
-                            parent_id=s.state_id,
-                        ),
-                    )
+                    moves = [(x, None) for x in s.suffix]
+                    moves.append((code, None))
+                    cands.insert(0, _successor(s, s.node, moves, len(moves), fresh_decay))
                 for cand in cands:
                     if cand.cost < min_cost:
                         min_cost = cand.cost

@@ -14,13 +14,14 @@ line is decoded once, by :func:`parse_frame`. Malformed lines (non-UTF-8
 bytes included) are counted, logged, and skipped; they never take the
 engine down.
 
-Replay sends a list of events themselves, uncopied, to an in-process
-engine or a remote TCP endpoint, throttled or flat out: in the order
-given, or in timestamp order with ties in the order given and events
-without a timestamp last. Every report of an engine run, replay and server
-alike, comes from one meter, :class:`EngineSink`, whose memory does not
-grow with the stream: its latencies only ever count engine processing
-time; waiting for the throttle or the socket is reported as idle time.
+Replay sends events themselves, uncopied, to an in-process engine or a
+remote TCP endpoint, throttled or flat out: in the order given, as an
+iterator yields them, or in timestamp order with ties in the order given
+and events without a timestamp last. Every report of an engine run,
+replay and server alike, comes from one meter, :class:`EngineSink`, whose
+memory does not grow with the stream: its latencies only ever count
+engine processing time; waiting for the throttle or the socket is
+reported as idle time.
 
 The simulator, :func:`simulate_stream`, samples the trie's root-to-end
 paths, corrupts each with a :class:`Noiser` and interleaves them as
@@ -345,27 +346,18 @@ class TcpSink:
 
 
 def replay(
-    events: Sequence[Event],
+    events: Iterable[Event],
     sink,
     interleave: str | None = None,
     rate: float | None = None,
 ) -> RunMetrics:
-    """Deliver every event exactly once, then report the run as :func:`drive` does.
+    """Send every event to ``sink`` exactly once and measure the run.
 
-    By default the events go in the order given. ``"by-timestamp"`` sorts
-    them stably by timestamp: ties keep the order given, and events
+    By default the events go in the order given, drawn one at a time, so
+    an iterator such as :func:`simulate_stream` streams. ``"by-timestamp"``
+    sorts them stably by timestamp: ties keep the order given, and events
     without a timestamp go last. Any other ``interleave`` raises
     ``ValueError``.
-    """
-    if interleave == BY_TIMESTAMP:
-        events = sorted(events, key=lambda ev: (ev.timestamp is None, ev.timestamp or ""))
-    elif interleave is not None:
-        raise ValueError(f"unknown interleave mode {interleave!r}")
-    return drive(events, sink, rate)
-
-
-def drive(events: Iterable[Event], sink, rate: float | None = None) -> RunMetrics:
-    """Send every event to ``sink`` in order and measure the run.
 
     ``rate`` throttles to events per second (sleep time counts as idle);
     None streams flat out, and a rate that is not positive raises
@@ -373,6 +365,10 @@ def drive(events: Iterable[Event], sink, rate: float | None = None) -> RunMetric
     :meth:`EngineSink.report`; any other sink, a TCP sink say, only yields
     the client-side count, idle and wall time.
     """
+    if interleave == BY_TIMESTAMP:
+        events = sorted(events, key=lambda ev: (ev.timestamp is None, ev.timestamp or ""))
+    elif interleave is not None:
+        raise ValueError(f"unknown interleave mode {interleave!r}")
     if rate is not None and not rate > 0:
         raise ValueError(f"rate must be a positive number of events per second, not {rate!r}")
     count = 0

@@ -84,7 +84,7 @@ class Trie:
         "by_pre",
         "size",
         "buckets",
-        "_depth",
+        "depth",
     )
 
     def __init__(self, paths: Iterable[Sequence[int]], alphabet: ActivityTable) -> None:
@@ -119,7 +119,8 @@ class Trie:
         self.alphabet = alphabet
         self.node_count = len(labels)
         self.end_count = sum(is_end)
-        self._depth = max(levels)
+        # The deepest node level; the root is level 0.
+        self.depth = max(levels)
 
         # Remaining-path annotation, subtree sizes, leaf depths and the
         # widest fan-out in one sweep, children before parents (child id >
@@ -181,11 +182,6 @@ class Trie:
                 else:
                     bucket.append(pre[parent])
         self.buckets = {key: array("i", sorted(entries)) for key, entries in pairs.items()}
-
-    @property
-    def depth(self) -> int:
-        """The deepest node level; the root is level 0."""
-        return self._depth
 
     # -- queries ---------------------------------------------------------
 

@@ -414,7 +414,7 @@ class TestSuffixBound:
         # search, so its engine keeps every suffix whole.
         bounded = build_trie(workflow_proxy)
         unbounded = build_trie(workflow_proxy)
-        unbounded._depth = 10**9
+        unbounded.depth = 10**9
         # Whole model traces between bursts of noise: deep matches after a
         # long pending suffix, where a wrong cut would show.
         rng = random.Random(seed)

@@ -227,6 +227,14 @@ def test_engine_invariants_on_random_streams(proxy, trace, decay_mode):
         assert stats.peak_states <= (trie.max_branching + 1) * stats.max_decay_issued
         assert len(result.new_states) <= trie.max_branching + 1
 
+        # Every stored state's chain, pending suffix or committed log moves
+        # alike, matches its cost and its length, which breaks admission
+        # ties and sets the cap.
+        for s in states:
+            moves = s.moves()
+            assert alignment_cost(moves) == s.cost
+            assert s.moves_len == len(moves)
+
         # At least one state consumed every event, and the cheapest of them
         # is a valid prefix alignment of everything observed so far.
         finished = [s for s in states if not s.suffix]

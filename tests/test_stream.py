@@ -29,7 +29,6 @@ from trie_align.stream import (
     EngineSink,
     FrameError,
     TcpSink,
-    drive,
     replay,
     simulate_stream,
 )
@@ -257,7 +256,7 @@ class TestReplay:
     def test_drive_rejects_a_rate_that_is_not_positive(self, workflow_trie, rate):
         sink = EngineSink(Engine(EngineConfig(trie=workflow_trie)))
         with pytest.raises(ValueError, match="rate must be a positive number"):
-            drive(sample_events(), sink, rate=rate)
+            replay(sample_events(), sink, rate=rate)
         assert sink.processed == 0
         assert not sink.window
 
@@ -392,7 +391,7 @@ class TestStreamServer:
         )
         policy = DecayPolicy()
         sink = EngineSink(Engine(EngineConfig(trie=workflow_trie, decay=policy)))
-        replayed = stream_mod.drive(frames, sink)
+        replayed = replay(frames, sink)
         assert replayed.computation_micros == sink.computation
 
         server = StreamServer(Engine(EngineConfig(trie=workflow_trie, decay=policy)), port=0)

@@ -66,11 +66,9 @@ class TestBuildTrie:
     def test_max_branching(self, workflow_trie):
         assert workflow_trie.max_branching == 3
 
-    def test_depth_is_derived_and_read_only(self, workflow_trie):
+    def test_depth_is_derived(self, workflow_trie):
         assert workflow_trie.depth == max(workflow_trie.levels) == 6
         assert load_trie(serialize_trie(workflow_trie)).depth == 6
-        with pytest.raises(AttributeError):
-            workflow_trie.depth = 9
 
     def test_alphabet_holds_only_the_proxy_labels(self, workflow_trie):
         # Some tests intern stream-only labels into the trie's alphabet, so
