@@ -110,8 +110,12 @@ class State:
     """One survivor: trie node, prefix alignment, pending suffix, cost, decay.
 
     The alignment is stored as a backward-linked chain of moves shared with
-    the parent state, so a successor costs one link per appended move;
-    :meth:`moves` materializes it as the prefix alignment, a tuple of moves.
+    the parent state, so a successor costs one link per appended move. A
+    link is one flat tuple ``(prev, log, model)``: the previous link (None
+    before the first move) and the move's two sides. :meth:`moves`
+    materializes the chain as the prefix alignment, a tuple of moves.
+    ``node`` indexes the trie's arrays; its children map holds offsets
+    from it (see :mod:`trie_align.trie`).
     """
 
     __slots__ = ("state_id", "node", "suffix", "cost", "decay", "parent_id", "_link", "moves_len")
@@ -140,8 +144,8 @@ class State:
         out = []
         link = self._link
         while link is not None:
-            link, move = link
-            out.append(Move(*move))
+            link, x, y = link
+            out.append(Move(x, y))
         out.reverse()
         return tuple(out)
 
@@ -201,8 +205,8 @@ def _successor(parent: State, node: int, moves: list[tuple], cost: int, decay: i
     Its suffix is empty and its id is assigned on admission.
     """
     link = parent._link
-    for move in moves:
-        link = (link, move)
+    for x, y in moves:
+        link = (link, x, y)
     moves_len = parent.moves_len + len(moves)
     return State(-1, node, [], parent.cost + cost, decay, link, moves_len, parent.state_id)
 
@@ -318,15 +322,16 @@ def expand_model_moves(
         # A one-event path is its own start node: a child of the state's
         # node or, failing that, a grandchild.
         (only,) = pending
-        kids = children[state.node]
-        hit = kids.get(only)
-        if hit is not None:
-            matches.append((hit, hit))
+        here = state.node
+        off = children[here].get(only)
+        if off is not None:
+            matches.append((here + off, here + off))
         elif slack >= 1:
-            for kid in kids.values():
-                hit = children[kid].get(only)
-                if hit is not None:
-                    matches.append((hit, hit))
+            for kid_off in children[here].values():
+                kid = here + kid_off
+                off = children[kid].get(only)
+                if off is not None:
+                    matches.append((kid + off, kid + off))
         if not matches:
             return []  # no model move exists
 
@@ -362,7 +367,7 @@ def _commit_unmatchable(trie: Trie, states: list[State]) -> None:
             cut = len(suffix) - max(depth - trie.levels[s.node] - 1, 1)
             link = s._link
             for x in suffix[:cut]:
-                link = (link, (x, None))
+                link = (link, x, None)
             s._link = link
             s.cost += cut
             s.moves_len += cut
@@ -448,9 +453,9 @@ class Engine:
         for s in generation:
             if s.suffix:
                 continue
-            child = children[s.node].get(code)
-            if child is not None:
-                new_states.append(_successor(s, child, [(code, code)], 0, fresh_decay))
+            off = children[s.node].get(code)
+            if off is not None:
+                new_states.append(_successor(s, s.node + off, [(code, code)], 0, fresh_decay))
 
         synced = bool(new_states)
         if not synced:

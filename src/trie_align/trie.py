@@ -13,9 +13,15 @@ holds one per end node, in the order that keeps node ids (see
 
 Nodes live in parallel arrays indexed by a dense node id; the root is id 0
 and every child id is greater than its parent's, so a reverse id sweep
-visits children before parents. The constructor sorts the children maps
-by ascending activity code, which makes every iteration-order-dependent
-tie-break deterministic.
+visits children before parents. ``children[n]`` maps an activity code to
+the child's id minus ``n``, its offset, so a reader adds ``n`` back. Most
+nodes of a proxy trie sit on chains, with one child whose id is their own
+plus one: all such nodes with the same child label hold one shared
+``{code: 1}`` map, and all leaves hold one shared empty map. A node that
+gains any other child gets a map of its own, so no shared map is ever
+written. The constructor sorts the children maps by ascending activity
+code, which makes every iteration-order-dependent tie-break
+deterministic.
 
 Construction also builds a search index over a preorder numbering that
 visits children in ascending code order: ``pre[n]`` is a node's position,
@@ -91,21 +97,34 @@ class Trie:
         labels = [ROOT_LABEL]
         parents = [-1]
         levels = [0]
-        children: list[dict[int, int]] = [{}]
+        # Child offsets, in maps shared as the module docstring says: a node
+        # gaining a child other than the next id gets a copy, never a write.
+        leaf: dict[int, int] = {}
+        chains: dict[int, dict[int, int]] = {}
+        children = [leaf]
         is_end = [False]
         for path in paths:
             node = ROOT
             for code in path:
-                nxt = children[node].get(code)
-                if nxt is None:
+                off = children[node].get(code)
+                if off is None:
                     nxt = len(labels)
                     labels.append(code)
                     parents.append(node)
                     levels.append(levels[node] + 1)
-                    children.append({})
+                    children.append(leaf)
                     is_end.append(False)
-                    children[node][code] = nxt
-                node = nxt
+                    off = nxt - node
+                    if off == 1:  # only a leaf gains the next id
+                        shared = chains.get(code)
+                        if shared is None:
+                            shared = chains[code] = {code: 1}
+                        children[node] = shared
+                    else:
+                        children[node] = {**children[node], code: off}
+                    node = nxt
+                else:
+                    node += off
             is_end[node] = True
         if len(labels) == 1:
             raise TrieError("cannot build a trie from no paths")
@@ -135,18 +154,20 @@ class Trie:
         for nid in range(n - 1, -1, -1):
             kids = children[nid]
             if len(kids) == 1:
-                (kid,) = kids.values()
+                (off,) = kids.values()
+                kid = nid + off
                 size[nid] += size[kid]
                 if not is_end[nid]:
                     min_to_end[nid] = min_to_end[kid] + 1
             elif kids:
                 at = 1
-                for kid in kids.values():  # ascending code order
+                for off in kids.values():  # ascending code order
+                    kid = nid + off
                     offset[kid] = at
                     at += size[kid]
                 size[nid] = at
                 if not is_end[nid]:
-                    min_to_end[nid] = 1 + min(map(min_to_end.__getitem__, kids.values()))
+                    min_to_end[nid] = 1 + min(min_to_end[nid + off] for off in kids.values())
                 if len(kids) > max_branching:
                     max_branching = len(kids)
             else:  # a leaf, which ends its path
@@ -199,10 +220,10 @@ class Trie:
         node = start_id
         children = self.children
         for code in seq[1:]:
-            nxt = children[node].get(code)
-            if nxt is None:
+            off = children[node].get(code)
+            if off is None:
                 return None
-            node = nxt
+            node += off
         return node
 
     def starts_at(self, node_id: int, code: int, next_code: int) -> list[int]:
@@ -231,10 +252,10 @@ class Trie:
         node = node_id
         remaining = self.min_to_end[node]
         while remaining > 0:
-            for code, kid in self.children[node].items():  # ascending code order
-                if self.min_to_end[kid] == remaining - 1:
+            for code, off in self.children[node].items():  # ascending code order
+                if self.min_to_end[node + off] == remaining - 1:
                     path.append(code)
-                    node = kid
+                    node += off
                     remaining -= 1
                     break
             else:  # pragma: no cover - annotations guarantee a child exists

@@ -4,7 +4,9 @@ Only the tests use these. They are deliberately independent of the
 engine's search: :func:`validate` and :func:`alignment_cost` check an
 alignment (a tuple of :class:`~trie_align.Move`) against the move grammar
 and the trie, and :func:`exhaustive_prefix` enumerates move sequences to
-double-check the DP oracle on tiny instances.
+double-check the DP oracle on tiny instances. :func:`child` and
+:func:`kids` read the trie's child-offset maps as absolute node ids, and
+:func:`absolute_children` builds those maps without the trie.
 """
 
 from __future__ import annotations
@@ -100,17 +102,45 @@ class State(engine.State):
         """Build a standalone state whose alignment is ``moves``."""
         link = None
         count = 0
-        for move in moves:
-            link = (link, tuple(move))
+        for x, y in moves:
+            link = (link, x, y)
             count += 1
         return cls(state_id, node, list(suffix), cost, decay, link, count)
+
+
+def child(trie: Trie, node: int, code: int) -> int | None:
+    """Id of ``node``'s child labeled ``code``, or None."""
+    off = trie.children[node].get(code)
+    return None if off is None else node + off
+
+
+def kids(trie: Trie, node: int) -> list[int]:
+    """Ids of ``node``'s children, in ascending code order."""
+    return [node + off for _, off in sorted(trie.children[node].items())]
+
+
+def absolute_children(paths: Iterable[Sequence[int]]) -> list[dict[int, int]]:
+    """Children maps of the trie over ``paths``, as code -> child id.
+
+    Built apart from :class:`Trie`: one plain dict per node, ids in order
+    of creation, each map sorted by code.
+    """
+    children: list[dict[int, int]] = [{}]
+    for path in paths:
+        node = ROOT
+        for code in path:
+            if code not in children[node]:
+                children[node][code] = len(children)
+                children.append({})
+            node = children[node][code]
+    return [dict(sorted(d.items())) for d in children]
 
 
 def walk(trie: Trie, seq: Iterable[int]) -> int | None:
     """Node reached by following ``seq`` from the root, or None."""
     node = ROOT
     for code in seq:
-        node = trie.children[node].get(code)
+        node = child(trie, node, code)
         if node is None:
             return None
     return node
@@ -138,7 +168,6 @@ def exhaustive_prefix(trace: Sequence[int], trie: Trie, depth_bound: int) -> int
         BoundTooSmallError: if the bound cannot certify optimality.
     """
     trace = list(trace)
-    children = trie.children
     best = len(trace)  # all-log-moves solution always exists
 
     def search(node: int, pos: int, cost: int, depth: int) -> None:
@@ -150,12 +179,11 @@ def exhaustive_prefix(trace: Sequence[int], trie: Trie, depth_bound: int) -> int
             return
         if depth == depth_bound:
             return
-        symbol = trace[pos]
-        child = children[node].get(symbol)
-        if child is not None:
-            search(child, pos + 1, cost, depth + 1)
+        sync = child(trie, node, trace[pos])
+        if sync is not None:
+            search(sync, pos + 1, cost, depth + 1)
         search(node, pos + 1, cost + 1, depth + 1)
-        for kid in children[node].values():
+        for kid in kids(trie, node):
             search(kid, pos, cost + 1, depth + 1)
 
     search(ROOT, 0, 0, 0)

@@ -23,7 +23,7 @@ from trie_align.cli import simulate_stream
 from trie_align.trie import ROOT, Trie
 
 from .conftest import WORKFLOW_TRACES, labelize_moves, snapshot_case
-from .reference import State, log_move, node_path_labels, sync_move, walk
+from .reference import State, child, log_move, node_path_labels, sync_move, walk
 from .test_properties import reference_expand
 
 
@@ -232,7 +232,7 @@ class TestModelMoves:
             Trie.path_match = original
         assert probes
         for start, seq in probes:
-            assert len(seq) >= 2 and seq[1] in trie.children[start]
+            assert len(seq) >= 2 and child(trie, start, seq[1]) is not None
 
     def test_a_suffix_deeper_than_the_trie_costs_no_more_probes(self, workflow_trie, monkeypatch):
         # The workflow trie is 6 levels deep, so from the root at most 6
@@ -437,6 +437,37 @@ class TestSuffixBound:
                 assert got == expected
         stored = [s for case_id, _ in cases for s in engines[1].states(case_id)]
         assert max(len(s.suffix) for s in stored) > bounded.depth
+
+
+class TestAlignmentLinks:
+    @pytest.mark.parametrize("policy_name", sorted(POLICIES))
+    def test_every_link_is_one_flat_move(self, workflow_trie, policy_name, monkeypatch):
+        # A link is (prev, log, model) with each side an int or None, and a
+        # chain is as long as its state's moves_len: after every event, for
+        # every live state, committed log moves included.
+        commits = []
+        original = engine_module._commit_unmatchable
+
+        def counted(trie, states):
+            commits.append(sum(len(s.suffix) > trie.depth for s in states))
+            original(trie, states)
+
+        monkeypatch.setattr(engine_module, "_commit_unmatchable", counted)
+        for trie in (workflow_trie, seeded_random_trie()):
+            engine = Engine(EngineConfig(trie=trie, decay=POLICIES[policy_name]))
+            for event in simulate_stream(trie, 0.3, seed=5, max_events=1500, duration=None):
+                engine.process(event.case_id, event.activity)
+                for state in engine.states(event.case_id):
+                    length = 0
+                    link = state._link
+                    while link is not None:
+                        assert type(link) is tuple and len(link) == 3
+                        link, x, y = link
+                        assert all(side is None or type(side) is int for side in (x, y))
+                        length += 1
+                    assert length == state.moves_len
+        # Only the long decay keeps suffixes past the depth, so only it commits.
+        assert (sum(commits) > 0) == (policy_name == "discounted5")
 
 
 def _outcome(engine, case_id, activity):

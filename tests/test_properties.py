@@ -22,7 +22,7 @@ from trie_align import (
 )
 from trie_align.cli import simulate_stream
 
-from .reference import State, alignment_cost, validate, walk
+from .reference import State, alignment_cost, child, kids, validate, walk
 
 ALPHA = "abcdef"
 
@@ -42,7 +42,7 @@ def test_trie_annotations_match_exhaustive_recomputation(proxy):
     def walk_min(node):
         """Recompute the remaining distance by direct descent."""
         mins = [0] if trie.is_end[node] else []
-        for kid in trie.children[node].values():
+        for kid in kids(trie, node):
             mins.append(walk_min(kid) + 1)
         return min(mins)
 
@@ -66,7 +66,7 @@ def test_trie_structure_invariants(proxy):
     for node in range(1, trie.node_count):
         parent = trie.parents[node]
         assert trie.levels[node] == trie.levels[parent] + 1
-        assert trie.children[parent][trie.labels[node]] == node
+        assert child(trie, parent, trie.labels[node]) == node
     for node in range(trie.node_count):
         keys = list(trie.children[node])
         assert keys == sorted(keys)
@@ -84,7 +84,6 @@ def reference_expand(trie, state, code, decay):
     the state, level by level, restarted after each suffix drop. Reference
     for the indexed search in ``expand_model_moves``.
     """
-    children = trie.children
     labels = trie.labels
     pending = list(state.suffix) + [code]
     dropped: list[int] = []
@@ -92,7 +91,7 @@ def reference_expand(trie, state, code, decay):
         frontier = [state.node]
         matches = []
         for _depth in range(len(pending) + 1):
-            next_level = [k for nid in frontier for k in children[nid].values()]
+            next_level = [k for nid in frontier for k in kids(trie, nid)]
             if not next_level:
                 break
             for nid in next_level:

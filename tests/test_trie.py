@@ -4,9 +4,13 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trie_align import (
+    ActivityTable,
     ProxyLog,
+    Trie,
     TrieError,
     TrieFormatError,
     build_trie,
@@ -17,7 +21,7 @@ from trie_align import (
 from trie_align.trie import ROOT
 
 from .conftest import WORKFLOW_TRACES
-from .reference import walk
+from .reference import absolute_children, child, kids, walk
 
 # serialize_trie output for the workflow trie: one code path per end node,
 # in end-node id order. The search index must never reach the file format.
@@ -92,7 +96,7 @@ class TestBuildTrie:
         trie = build_trie(parse_proxy_log("a,b,c\na,b\n"))
         ab = walk(trie, [trie.alphabet.code("a"), trie.alphabet.code("b")])
         assert trie.is_end[ab]
-        assert trie.children[ab]
+        assert kids(trie, ab)
         assert trie.min_to_end[ab] == 0
 
     def test_node_budget(self, workflow_trie, workflow_proxy):
@@ -103,17 +107,17 @@ class TestBuildTrie:
 class TestQueries:
     def test_root_child(self, workflow_trie):
         a = workflow_trie.alphabet.code("a")
-        node = workflow_trie.children[ROOT].get(a)
+        node = child(workflow_trie, ROOT, a)
         assert node is not None
         assert workflow_trie.labels[node] == a
 
     def test_missing_child(self, workflow_trie):
         table = workflow_trie.alphabet
         ab = walk(workflow_trie, [table.code("a"), table.code("b")])
-        assert workflow_trie.children[ab].get(table.code("b")) is None
+        assert child(workflow_trie, ab, table.code("b")) is None
 
     def test_unknown_code_child(self, workflow_trie):
-        assert workflow_trie.children[ROOT].get(9999) is None
+        assert child(workflow_trie, ROOT, 9999) is None
 
     def test_path_match_single_node(self, workflow_trie):
         table = workflow_trie.alphabet
@@ -155,15 +159,15 @@ class TestQueries:
     def test_min_max_annotations_by_recomputation(self, workflow_trie):
         trie = workflow_trie
         for node in range(trie.node_count):
-            kids = list(trie.children[node].values())
+            below = [trie.min_to_end[k] for k in kids(trie, node)]
             if trie.is_end[node]:
                 assert trie.min_to_end[node] == 0
             else:
-                assert trie.min_to_end[node] == 1 + min(trie.min_to_end[k] for k in kids)
+                assert trie.min_to_end[node] == 1 + min(below)
 
     def test_every_leaf_is_end(self, workflow_trie):
         for node in range(workflow_trie.node_count):
-            if not workflow_trie.children[node]:
+            if not kids(workflow_trie, node):
                 assert workflow_trie.is_end[node]
 
     def test_end_paths_spell_proxy_traces(self, workflow_trie):
@@ -235,6 +239,62 @@ class TestSerialization:
             load_trie(json.dumps(doc).encode())
 
 
+# Code paths over four labels (a=0, b=1, c=2, d=3); lists of them hold
+# paths that are prefixes of others and leaves that later paths extend.
+code_paths = st.lists(
+    st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=6), min_size=1, max_size=12
+)
+
+
+def path_trie(paths) -> Trie:
+    return Trie(paths, ActivityTable("abcd"))
+
+
+def decoded(trie) -> list[list[tuple[int, int]]]:
+    """Each node's children map with the node id added back, in map order."""
+    return [
+        [(code, node + off) for code, off in kids_map.items()]
+        for node, kids_map in enumerate(trie.children)
+    ]
+
+
+class TestChildOffsets:
+    @given(code_paths)
+    @example([[0], [2], [0, 1]])  # a leaf gains a child that is not the next id
+    @example([[0, 1], [2, 1], [0, 3]])  # a node leaves the map it shared
+    @settings(max_examples=300, deadline=None)
+    def test_offsets_decode_to_the_absolute_children(self, paths):
+        assert decoded(path_trie(paths)) == [
+            list(kids_map.items()) for kids_map in absolute_children(paths)
+        ]
+
+    @given(code_paths)
+    @settings(max_examples=300, deadline=None)
+    def test_chain_nodes_share_one_map_per_label(self, paths):
+        trie = path_trie(paths)
+        shared: dict[int | None, dict[int, int]] = {}
+        for kids_map in trie.children:
+            if not kids_map:  # a leaf
+                assert shared.setdefault(None, kids_map) is kids_map
+            elif list(kids_map.values()) == [1]:  # one child, the next id
+                (code,) = kids_map
+                assert shared.setdefault(code, kids_map) is kids_map
+        # A shared map is never written: each still holds its one entry.
+        assert all(m == ({} if key is None else {key: 1}) for key, m in shared.items())
+
+    def test_extending_a_node_leaves_its_map_sharers_alone(self):
+        # a and c both share the {b: 1} map until [a, d] gives a a second child.
+        trie = path_trie([[0, 1], [2, 1], [0, 3]])
+        a, ab, c, cb, ad = 1, 2, 3, 4, 5
+        assert trie.children[c] == {1: 1} and child(trie, c, 1) == cb
+        assert kids(trie, a) == [ab, ad]
+        assert trie.children[a] is not trie.children[c]
+
+    def test_most_nodes_of_a_random_trie_share_their_map(self):
+        trie = random_trie()
+        assert len({id(m) for m in trie.children}) < trie.node_count / 4
+
+
 def random_trie():
     """Seeded trie whose traces include prefixes of others (ends with children)."""
     rng = random.Random(5)
@@ -246,7 +306,7 @@ def random_trie():
 def descendants(trie, node) -> set[int]:
     """The node and everything below it, by walking children maps."""
     out = {node}
-    for kid in trie.children[node].values():
+    for kid in kids(trie, node):
         out |= descendants(trie, kid)
     return out
 
@@ -254,8 +314,8 @@ def descendants(trie, node) -> set[int]:
 def preorder(trie, node) -> list[int]:
     """The node and everything below it, children in ascending code order."""
     out = [node]
-    for code in sorted(trie.children[node]):
-        out += preorder(trie, trie.children[node][code])
+    for kid in kids(trie, node):
+        out += preorder(trie, kid)
     return out
 
 
@@ -295,7 +355,7 @@ class TestSearchIndex:
                 assert 0 <= pos < trie.node_count
                 node = trie.by_pre[pos]
                 assert trie.labels[node] == code
-                seen.append((node, trie.children[node][next_code]))
+                seen.append((node, child(trie, node, next_code)))
         edges = [(trie.parents[k], k) for k in range(1, trie.node_count) if trie.parents[k] != ROOT]
         assert sorted(seen) == sorted(edges)
 
@@ -309,16 +369,18 @@ class TestSearchIndex:
                 for next_code in alphabet:
                     got = trie.starts_at(node, code, next_code)
                     assert got == [
-                        k for k in below if trie.labels[k] == code and next_code in trie.children[k]
+                        k
+                        for k in below
+                        if trie.labels[k] == code and child(trie, k, next_code) is not None
                     ]
                     by_level = sorted(got, key=trie.levels.__getitem__)
                     frontier = [node]
                     for level in range(trie.levels[node] + 1, trie.depth + 1):
-                        frontier = [k for n in frontier for k in trie.children[n].values()]
+                        frontier = [k for n in frontier for k in kids(trie, n)]
                         assert [k for k in by_level if trie.levels[k] == level] == [
                             k
                             for k in frontier
-                            if trie.labels[k] == code and next_code in trie.children[k]
+                            if trie.labels[k] == code and child(trie, k, next_code) is not None
                         ]
 
     def test_starts_at_unknown_code_or_level(self, trie):
@@ -329,7 +391,7 @@ class TestSearchIndex:
         assert trie.starts_at(ROOT, code, next_code) != []
         # Nothing lies below the deepest level, nor below any other leaf.
         for node in range(trie.node_count):
-            if not trie.children[node]:
+            if not kids(trie, node):
                 assert all(trie.starts_at(node, *pair) == [] for pair in trie.buckets)
 
     def test_load_rebuilds_the_same_index(self, trie):
