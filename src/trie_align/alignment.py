@@ -15,6 +15,13 @@ trie (a state's :meth:`~trie_align.engine.State.moves`); a complete
 alignment's model projection must finish at an end node
 (:func:`complete_alignment`).
 
+Moves are shared: :data:`MOVES` holds one :class:`Move` per distinct
+``(log, model)`` pair, made on first use, and the engine's
+alignment links and :func:`complete_alignment` point at those. A label
+reaches the engine as a code of its trie's table or as
+:data:`~trie_align.events.UNKNOWN`, so the table stays as small as the
+alphabets in use.
+
 All types here are plain values; every operation is reentrant.
 """
 
@@ -38,8 +45,20 @@ class Move(NamedTuple):
     model: int | None
 
 
+class _MoveTable(dict):
+    """Shared moves by ``(log, model)``: a missing pair gets its move on first lookup."""
+
+    def __missing__(self, key: tuple[int | None, int | None]) -> Move:
+        # setdefault keeps one instance if two threads race here.
+        return self.setdefault(key, Move(*key))
+
+
+#: The shared moves: ``MOVES[log, model]`` is the one :class:`Move` of that pair.
+MOVES = _MoveTable()
+
+
 def model_move(code: int) -> Move:
-    return Move(SKIP, code)
+    return MOVES[SKIP, code]
 
 
 def complete_alignment(state, trie: "Trie") -> tuple[Move, ...]:

@@ -51,7 +51,9 @@ pending.
 An engine instance is single-writer: calls into :meth:`Engine.process`
 must be serialized. Scale out by partitioning the case-id space across
 engines sharing one immutable trie. Every activity the trie lacks codes
-as :data:`~trie_align.events.UNKNOWN`, so no label table grows.
+as :data:`~trie_align.events.UNKNOWN`, so no label table grows, and
+alignments are chains of shared moves (see :mod:`trie_align.alignment`),
+so no move is stored twice.
 """
 
 from __future__ import annotations
@@ -59,9 +61,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .alignment import Move
+from .alignment import MOVES, Move
 from .trie import ROOT, Trie
 
 #: The search's default bound, larger than any reachable alignment cost.
@@ -111,9 +113,11 @@ class State:
 
     The alignment is stored as a backward-linked chain of moves shared with
     the parent state, so a successor costs one link per appended move. A
-    link is one flat tuple ``(prev, log, model)``: the previous link (None
-    before the first move) and the move's two sides. :meth:`moves`
-    materializes the chain as the prefix alignment, a tuple of moves.
+    link is a pair ``(prev, move)``: the previous link (None before the
+    first move) and the move, the one shared instance of its
+    ``(log, model)`` pair (see :data:`~trie_align.alignment.MOVES`).
+    :meth:`moves` materializes the chain as the prefix alignment, a tuple
+    of those moves.
     ``node`` indexes the trie's arrays; its children map holds offsets
     from it (see :mod:`trie_align.trie`).
     """
@@ -144,8 +148,8 @@ class State:
         out = []
         link = self._link
         while link is not None:
-            link, x, y = link
-            out.append(Move(x, y))
+            link, move = link
+            out.append(move)
         out.reverse()
         return tuple(out)
 
@@ -199,14 +203,15 @@ class _CaseEntry:
         self.peak_states = 0
 
 
-def _successor(parent: State, node: int, moves: list[tuple], cost: int, decay: int) -> State:
+def _successor(parent: State, node: int, moves: Sequence[Move], cost: int, decay: int) -> State:
     """A new state on ``node``: ``parent``'s alignment plus ``moves``, at ``cost`` more.
 
-    Its suffix is empty and its id is assigned on admission.
+    ``moves`` are shared moves. The new state's suffix is empty and its id
+    is assigned on admission.
     """
     link = parent._link
-    for x, y in moves:
-        link = (link, x, y)
+    for move in moves:
+        link = (link, move)
     moves_len = parent.moves_len + len(moves)
     return State(-1, node, [], parent.cost + cost, decay, link, moves_len, parent.state_id)
 
@@ -335,14 +340,14 @@ def expand_model_moves(
         if not matches:
             return []  # no model move exists
 
-    logs = [(x, None) for x in dropped]
-    syncs = [(y, y) for y in pending]
+    logs = [MOVES[x, None] for x in dropped]
+    syncs = [MOVES[y, y] for y in pending]
     out = []
     for start, terminal in matches:
         models = []
         parent = parents[start]
         while parent != state.node:
-            models.append((None, labels[parent]))
+            models.append(MOVES[None, labels[parent]])
             parent = parents[parent]
         models.reverse()
         cost = len(logs) + len(models)
@@ -367,7 +372,7 @@ def _commit_unmatchable(trie: Trie, states: list[State]) -> None:
             cut = len(suffix) - max(depth - trie.levels[s.node] - 1, 1)
             link = s._link
             for x in suffix[:cut]:
-                link = (link, x, None)
+                link = (link, MOVES[x, None])
             s._link = link
             s.cost += cut
             s.moves_len += cut
@@ -402,6 +407,9 @@ class Engine:
         # outlives its case's root decay, so only a root decay past the
         # trie's depth lets a suffix outgrow it.
         self._long_suffixes = self._root_decay > config.trie.depth
+        # The sync move of every code some node carries; any other code
+        # (UNKNOWN among them) has no sync successor.
+        self._sync = {code: MOVES[code, code] for code in set(config.trie.labels[1:])}
         self._buffer: dict[str, _CaseEntry] = {}
         self._total_states = 0
         self.peak_total_states = 0
@@ -448,14 +456,17 @@ class Engine:
             # is not retained.
             generation = [_best(states)]
 
-        children = self.trie.children
         new_states: list[State] = []
-        for s in generation:
-            if s.suffix:
-                continue
-            off = children[s.node].get(code)
-            if off is not None:
-                new_states.append(_successor(s, s.node + off, [(code, code)], 0, fresh_decay))
+        sync = self._sync.get(code)
+        if sync is not None:
+            children = self.trie.children
+            sync_moves = (sync,)
+            for s in generation:
+                if s.suffix:
+                    continue
+                off = children[s.node].get(code)
+                if off is not None:
+                    new_states.append(_successor(s, s.node + off, sync_moves, 0, fresh_decay))
 
         synced = bool(new_states)
         if not synced:
@@ -475,8 +486,8 @@ class Engine:
                 # The log move is built only when it can be admitted, and
                 # ranks before this state's model moves.
                 if log_cost <= min_cost:
-                    moves = [(x, None) for x in s.suffix]
-                    moves.append((code, None))
+                    moves = [MOVES[x, None] for x in s.suffix]
+                    moves.append(MOVES[code, None])
                     cands.insert(0, _successor(s, s.node, moves, len(moves), fresh_decay))
                 for cand in cands:
                     if cand.cost < min_cost:

@@ -8,7 +8,8 @@ Two file formats are understood:
 
 * Event logs: CSV with header ``case,activity,timestamp`` (the timestamp
   column is optional). A parsed log is its events in file order, one
-  :class:`Event` per row, cases interleaved as the rows are. The engine
+  :class:`Event` per row, cases interleaved as the rows are. Equal case
+  ids and equal labels in one log parse to one shared string. The engine
   never reads timestamps; only a by-timestamp replay orders events by
   them, ties in file order and rows without one last.
 * Proxy logs: plain text, one comma-separated activity sequence per line.
@@ -50,7 +51,7 @@ class Event:
     """A single activity occurrence scoped to a case.
 
     Attributes:
-        case_id: opaque case identifier (the stream key).
+        case_id: non-empty opaque case identifier (the stream key).
         activity: non-empty activity label.
         timestamp: optional ISO-8601 instant, carried verbatim. The engine
             never reads it; only a by-timestamp replay orders events by
@@ -67,6 +68,10 @@ class Event:
     timestamp: str | None = None
 
     def __post_init__(self) -> None:
+        # Both parsers reject an empty field, so neither could read back
+        # the line written for such an event.
+        if not self.case_id:
+            raise ValueError("event case id must be non-empty")
         if not self.activity:
             raise ValueError("event activity must be non-empty")
 
@@ -157,7 +162,9 @@ def parse_event_log(text: str) -> list[Event]:
 
     The header must be ``case,activity,timestamp`` (or ``case,activity``).
     Blank lines are skipped; fields are stripped of surrounding blanks,
-    and an empty timestamp is None.
+    and an empty timestamp is None. Within one call, equal case ids and
+    equal activity labels are the same ``str`` object, so a long log holds
+    one string per distinct value; timestamps are not shared.
 
     Raises:
         ParseError: on a bad header, wrong column count, or empty
@@ -175,6 +182,8 @@ def parse_event_log(text: str) -> list[Event]:
 
     events: list[Event] = []
     append = events.append
+    # Each distinct stripped case id and label, keyed by itself.
+    share = {}.setdefault
     for line_no, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != n_cols:
@@ -191,7 +200,7 @@ def parse_event_log(text: str) -> list[Event]:
         if not activity:
             raise ParseError("empty activity", line_no=line_no)
         timestamp = parts[2].strip() if n_cols == 3 else None
-        append(Event(case_id, activity, timestamp or None))
+        append(Event(share(case_id, case_id), share(activity, activity), timestamp or None))
     return events
 
 

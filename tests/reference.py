@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from trie_align import Move, Trie, engine
-from trie_align.alignment import SKIP
+from trie_align.alignment import MOVES, SKIP
 from trie_align.trie import ROOT
 
 
@@ -103,7 +103,7 @@ class State(engine.State):
         link = None
         count = 0
         for x, y in moves:
-            link = (link, x, y)
+            link = (link, MOVES[x, y])
             count += 1
         return cls(state_id, node, list(suffix), cost, decay, link, count)
 

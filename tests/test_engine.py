@@ -11,14 +11,17 @@ from trie_align import (
     DecayPolicy,
     Engine,
     EngineConfig,
+    Move,
     UnknownCaseError,
     build_trie,
+    complete_alignment,
     decay_time,
     expand_model_moves,
     parse_proxy_log,
     serialize_trie,
 )
 from trie_align import engine as engine_module
+from trie_align.alignment import MOVES
 from trie_align.cli import simulate_stream
 from trie_align.trie import ROOT, Trie
 
@@ -441,16 +444,21 @@ class TestSuffixBound:
 
 class TestAlignmentLinks:
     @pytest.mark.parametrize("policy_name", sorted(POLICIES))
-    def test_every_link_is_one_flat_move(self, workflow_trie, policy_name, monkeypatch):
-        # A link is (prev, log, model) with each side an int or None, and a
-        # chain is as long as its state's moves_len: after every event, for
-        # every live state, committed log moves included.
+    def test_every_link_points_at_a_shared_move(self, workflow_trie, policy_name, monkeypatch):
+        # A link is (prev, move) with move the move table's own instance,
+        # and a chain is as long as its state's moves_len: after every
+        # event, for every live state, committed log moves included. The
+        # moves complete_alignment appends are the table's too.
         commits = []
         original = engine_module._commit_unmatchable
 
         def counted(trie, states):
             commits.append(sum(len(s.suffix) > trie.depth for s in states))
             original(trie, states)
+
+        def assert_shared(move):
+            assert type(move) is Move
+            assert MOVES.get((move.log, move.model)) is move
 
         monkeypatch.setattr(engine_module, "_commit_unmatchable", counted)
         for trie in (workflow_trie, seeded_random_trie()):
@@ -461,11 +469,16 @@ class TestAlignmentLinks:
                     length = 0
                     link = state._link
                     while link is not None:
-                        assert type(link) is tuple and len(link) == 3
-                        link, x, y = link
-                        assert all(side is None or type(side) is int for side in (x, y))
+                        assert type(link) is tuple and len(link) == 2
+                        link, move = link
+                        assert_shared(move)
                         length += 1
                     assert length == state.moves_len
+                best = engine.best_state(event.case_id)
+                completed = complete_alignment(best, trie)
+                assert len(completed) == best.moves_len + trie.min_to_end[best.node]
+                for move in completed:
+                    assert_shared(move)
         # Only the long decay keeps suffixes past the depth, so only it commits.
         assert (sum(commits) > 0) == (policy_name == "discounted5")
 

@@ -64,6 +64,27 @@ class TestParseEventLog:
         with pytest.raises(ParseError, match="line 2"):
             parse_event_log("case,activity\n1,\n")
 
+    def test_equal_values_parse_to_one_string(self):
+        # Single characters are shared by the interpreter anyway, so the
+        # values here are longer; blanks around a value do not split it.
+        text = (
+            "case,activity,timestamp\n"
+            "case-17,review,t1\n"
+            " case-17 ,approve,t1\n"
+            "case-18, review ,t1\n"
+            "case-17,approve ,\n"
+        )
+        events = parse_event_log(text)
+        assert events == [
+            Event("case-17", "review", "t1"),
+            Event("case-17", "approve", "t1"),
+            Event("case-18", "review", "t1"),
+            Event("case-17", "approve"),
+        ]
+        assert events[0].case_id is events[1].case_id is events[3].case_id
+        assert events[0].activity is events[2].activity
+        assert events[1].activity is events[3].activity
+
     def test_round_trip_preserves_case_activity_order(self):
         events = parse_event_log(SAMPLE_LOG)
         assert parse_event_log(serialize_event_log(events)) == events
@@ -144,8 +165,13 @@ class TestActivityTable:
 
 class TestDomainTypes:
     def test_event_requires_activity(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="activity"):
             Event(case_id="1", activity="")
+        # Neither parser reads back an empty case id, so no event has one.
+        with pytest.raises(ValueError, match="case id"):
+            Event(case_id="", activity="a")
+        with pytest.raises(ParseError, match="line 2: empty case id"):
+            parse_event_log("case,activity\n,a\n")
 
     def test_event_json_line_is_the_wire_frame(self):
         # The bytes every wire client has sent: ``ts`` only when set.

@@ -1,11 +1,13 @@
-"""Memory budgets, measured with tracemalloc on a seeded trie and stream.
+"""Memory budgets, measured with tracemalloc on a seeded trie, stream and log.
 
-The ceilings sit between the figures of two layouts, measured on
-Python 3.11: a trie with one private child map of absolute ids per node
-(309 B per node here) against shared child-offset maps (111 B), and an
-alignment link holding a nested move tuple (196 B per event) against one
-flat ``(prev, log, model)`` tuple (147 B). Other interpreters size
-objects differently.
+Each ceiling sits between the figures of an older layout and the
+current one, measured on Python 3.11: a trie with one private child map
+of absolute ids per node (309 B per node here) against shared
+child-offset maps (111 B); an alignment link holding a move tuple of its
+own (196 B per event) against a ``(prev, move)`` pair pointing at a
+shared move (138 B); and a parsed log with two new strings per row
+(280 B per row) against one shared string per distinct case id and
+label (177 B). Other interpreters size objects differently.
 """
 
 from __future__ import annotations
@@ -16,11 +18,21 @@ import tracemalloc
 
 import pytest
 
-from trie_align import ActivityTable, DecayPolicy, Engine, EngineConfig, Trie
+from trie_align import (
+    ActivityTable,
+    DecayPolicy,
+    Engine,
+    EngineConfig,
+    Event,
+    Trie,
+    parse_event_log,
+    serialize_event_log,
+)
 from trie_align.cli import simulate_stream
 
 TRIE_BYTES_PER_NODE = 200
 ENGINE_BYTES_PER_EVENT = 170
+PARSED_BYTES_PER_ROW = 230
 
 
 def traced(build):
@@ -63,3 +75,17 @@ def test_engine_bytes_per_event(trie_and_bytes):
 
     _, used = traced(run)
     assert used / len(events) < ENGINE_BYTES_PER_EVENT
+
+
+def test_parsed_log_bytes_per_row(trie_and_bytes):
+    # 20,000 rows over 1,619 cases, one distinct timestamp per row.
+    trie, _ = trie_and_bytes
+    events = simulate_stream(trie, 0.1, seed=1, max_events=20_000, duration=None)
+    stamped = [
+        Event(e.case_id, e.activity, f"2022-08-01T{i // 3600:02d}:{i // 60 % 60:02d}:{i % 60:02d}")
+        for i, e in enumerate(events)
+    ]
+    parsed, used = traced(lambda: parse_event_log(serialize_event_log(stamped)))
+    assert len(parsed) == 20_000
+    assert len({e.case_id for e in parsed}) == 1619
+    assert used / len(parsed) < PARSED_BYTES_PER_ROW
