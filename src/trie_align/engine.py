@@ -21,9 +21,12 @@ event suffix, the alignment cost, and a decay counter. Per arriving event:
    one slice of the trie's pair index per search gives the only nodes
    worth probing: those below that carry the second-newest event and have
    a child carrying the newest. Their parent links tell which drop round
-   each one serves and where its match starts. A single pending event is
-   looked up among the node's children and grandchildren (see
-   :func:`expand_model_moves`).
+   each one serves and where its match starts. When the bound leaves no
+   room for the round that keeps only those two, the slice keeps just the
+   nodes whose parent carries the third-newest event, and the one direct
+   child that round can still afford is looked up on its own. A single
+   pending event is looked up among the node's children and grandchildren
+   (see :func:`expand_model_moves`).
    Candidates are admitted against a running cost minimum; only those
    matching the final minimum are kept, with at most one state per trie
    node. The minimum starts at the cheapest log move's cost, which the
@@ -64,6 +67,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from .alignment import MOVES, Move
+from .events import UNKNOWN
 from .trie import ROOT, Trie
 
 #: The search's default bound, larger than any reachable alignment cost.
@@ -261,6 +265,19 @@ def expand_model_moves(
     ``bound``, and empty otherwise. Nodes whose earliest round needs more
     drops than the bound affords are passed over, and no probe is made
     when the up-front drops alone cost more than the bound.
+
+    The bound also narrows the probe. With ``n > 2`` events pending and a
+    slack (what the bound leaves after the up-front drops) of at most
+    ``n - 2``, a slice node serves round ``n - 2`` at best unless its
+    parent lies strictly below the state's node and carries
+    ``pending[-3]``. That round's drops leave no slack for a model move,
+    so of those nodes only a direct child of the state's node can still
+    win, and only when the slack is exactly ``n - 2``. So the probe takes
+    the slice nodes whose parent carries ``pending[-3]``
+    (:meth:`Trie.starts_at` with ``prev_code``), and the direct child
+    labeled ``pending[-2]`` that has a child labeled ``code`` is looked up
+    after them, when no earlier round was found. The winners and their
+    order are the full probe's.
     """
     labels = trie.labels
     levels = trie.levels
@@ -294,7 +311,12 @@ def expand_model_moves(
         # leaves the newest event alone, costing only its drops.
         best = (n - 1, base_level + 1)
         starts: list[int] = []
-        for node in trie.starts_at(state.node, pending[-2], code):
+        # With this little slack, round n - 2 affords no model move: the
+        # probe keeps the nodes whose parent carries pending[-3], and the
+        # direct child is looked up after the loop (see the docstring).
+        narrow = n > 2 and slack <= n - 2
+        prev_code = pending[-3] if narrow else None
+        for node in trie.starts_at(state.node, pending[-2], code, prev_code):
             level = levels[node]
             if level > top:
                 continue
@@ -316,6 +338,12 @@ def expand_model_moves(
                 starts = [start]
             elif key == best:
                 starts.append(start)
+        if narrow and slack == n - 2 and best > (n - 2, base_level + 1):
+            here = state.node
+            off = children[here].get(pending[-2])
+            if off is not None and code in children[here + off]:
+                best = (n - 2, base_level + 1)
+                starts = [here + off]
         i, level = best
         dropped += pending[:i]
         del pending[:i]
@@ -421,11 +449,15 @@ class Engine:
         """Consume one event for ``case_id`` and update its survivor set.
 
         ``activity`` may be a label or a code of the trie's table; a label
-        the trie lacks codes as :data:`~trie_align.events.UNKNOWN`, which
-        its moves carry. ``timestamp`` is accepted for callers that pass
-        it positionally, and never read. Returns the per-event result.
+        the trie lacks, and an int outside the table, codes as
+        :data:`~trie_align.events.UNKNOWN`, which its moves carry.
+        ``timestamp`` is accepted for callers that pass it positionally,
+        and never read. Returns the per-event result.
         """
-        code = self._code(activity) if isinstance(activity, str) else activity
+        if isinstance(activity, str):
+            code = self._code(activity)
+        else:
+            code = activity if 0 <= activity < len(self.trie.alphabet) else UNKNOWN
 
         started = time.perf_counter_ns()
         entry = self._buffer.get(case_id)

@@ -33,9 +33,14 @@ a child labeled ``next_code``: one entry per trie edge below the root.
 So the nodes below a given node that a path ending in a given pair of
 labels passes through are one bisected slice of one bucket
 (:meth:`Trie.starts_at`), in preorder; within one level, preorder order
-is breadth-first order. The model-move search takes one slice per
-search, for its newest two pending events. The index is derived data:
-it is not serialized and :func:`load_trie` rebuilds it.
+is breadth-first order. ``up`` holds, by position, the label of the
+node's parent (:data:`ROOT_LABEL` for the root's children), so a slice
+can keep only the nodes whose parent carries a third label, a q-gram
+filter of three labels for a pair index. The model-move search takes one
+slice per search, for its newest two pending events, and filters it by
+the third-newest when its bound rules out the round that keeps only the
+two. The index is derived data: it is not serialized and
+:func:`load_trie` rebuilds it.
 
 The structure is immutable after construction and safe to share across
 threads for read-only queries.
@@ -88,6 +93,7 @@ class Trie:
         "max_branching",
         "pre",
         "by_pre",
+        "up",
         "size",
         "buckets",
         "depth",
@@ -179,29 +185,32 @@ class Trie:
         # Without a fork the trie is one chain, as wide as its root.
         self.max_branching = max_branching or len(children[ROOT])
 
-        # Preorder positions, parents before children.
+        # One sweep, parents before children: preorder positions, by
+        # position the node there and its parent's label, and the pair
+        # buckets. The root sits at position 0 and has no parent: its ``up``
+        # stays ROOT_LABEL, the label its children read from it. Every edge
+        # below the root adds its parent's position to the bucket of
+        # (parent label, child label); a node has one child per label, so a
+        # sorted bucket holds each position once.
         pre = array("i", [0]) * n
-        for nid in range(1, n):
-            pre[nid] = pre[parents[nid]] + offset[nid]
-        by_pre = array("i", [0]) * n
-        for nid, pos in enumerate(pre):
-            by_pre[pos] = nid
-        self.pre = pre
-        self.by_pre = by_pre
-
-        # One bucket per activity pair (code, child code). Every edge below
-        # the root adds its parent's preorder position; a node has one child
-        # per label, so a sorted bucket holds each position once.
+        by_pre = array("i", [ROOT]) * n
+        up = array("i", [ROOT_LABEL]) * n
         pairs: dict[tuple[int, int], list[int]] = {}
-        for kid in range(1, n):
-            parent = parents[kid]
+        for nid in range(1, n):
+            parent = parents[nid]
+            pos = pre[nid] = pre[parent] + offset[nid]
+            by_pre[pos] = nid
+            up[pos] = label = labels[parent]
             if parent:
-                key = (labels[parent], labels[kid])
+                key = (label, labels[nid])
                 bucket = pairs.get(key)
                 if bucket is None:
                     pairs[key] = [pre[parent]]
                 else:
                     bucket.append(pre[parent])
+        self.pre = pre
+        self.by_pre = by_pre
+        self.up = up
         self.buckets = {key: array("i", sorted(entries)) for key, entries in pairs.items()}
 
     # -- queries ---------------------------------------------------------
@@ -226,13 +235,19 @@ class Trie:
             node += off
         return node
 
-    def starts_at(self, node_id: int, code: int, next_code: int) -> list[int]:
+    def starts_at(
+        self, node_id: int, code: int, next_code: int, prev_code: int | None = None
+    ) -> list[int]:
         """Strict descendants of ``node_id`` that carry ``code`` and have a
-        child labeled ``next_code``.
+        child labeled ``next_code``; with ``prev_code``, only those whose
+        parent, not the root, carries ``prev_code``.
 
         Node ids in preorder, at every level below the node. Empty for a
         pair no edge carries, including any pair with the code of an
-        activity the trie lacks.
+        activity the trie lacks. The ``prev_code`` filter reads ``up`` at
+        each slice position; no parent carries a negative code
+        (:data:`ROOT_LABEL` or :data:`~trie_align.events.UNKNOWN`) or one
+        past the table.
         """
         bucket = self.buckets.get((code, next_code))
         if bucket is None:
@@ -240,7 +255,13 @@ class Trie:
         start = self.pre[node_id]
         lo = bisect_left(bucket, start + 1)
         hi = bisect_left(bucket, start + self.size[node_id], lo)
-        return list(map(self.by_pre.__getitem__, bucket[lo:hi]))
+        by_pre = self.by_pre
+        if prev_code is None:
+            return list(map(by_pre.__getitem__, bucket[lo:hi]))
+        if prev_code < 0:
+            return []
+        up = self.up
+        return [by_pre[pos] for pos in bucket[lo:hi] if up[pos] == prev_code]
 
     def min_completion_path(self, node_id: int) -> list[int]:
         """A shortest label path from ``node_id`` down to some end node.

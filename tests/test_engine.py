@@ -25,9 +25,10 @@ from trie_align.alignment import MOVES
 from trie_align.cli import simulate_stream
 from trie_align.trie import ROOT, Trie
 
+from . import test_trie
 from .conftest import WORKFLOW_TRACES, labelize_moves, snapshot_case
 from .reference import State, child, log_move, node_path_labels, sync_move, walk
-from .test_properties import reference_expand
+from .test_properties import reference_expand, search_view
 
 
 def state_view(s):
@@ -268,7 +269,8 @@ class TestModelMoves:
         # a search with two or more of them makes exactly one starts_at call,
         # whatever it finds and however many rounds it runs; a search with
         # one makes none. The up-front depth cut leaves a search from level
-        # l at most max(depth - l, 1) events.
+        # l at most max(depth - l, 1) events. A bound of cost + n - 2 on n
+        # events makes that one call the narrow probe when n > 2.
         trie = workflow_trie
         alphabet = range(len(trie.alphabet) + 1)  # the last code is in no node
         nowhere = alphabet[-1]
@@ -287,9 +289,58 @@ class TestModelMoves:
             searched = max(trie.depth - trie.levels[node], 1)
             for pending in sequences:
                 state = State.make(node=node, moves=(), suffix=pending[:-1], decay=2)
+                n = min(len(pending), searched)
                 calls.clear()
                 expand_model_moves(trie, state, pending[-1], decay=2)
-                assert len(calls) == (min(len(pending), searched) > 1)
+                assert len(calls) == (n > 1)
+                calls.clear()
+                expand_model_moves(trie, state, pending[-1], decay=2, bound=len(pending) - 2)
+                assert [args[3] is not None for args in calls] == ([n > 2] if n > 1 else [])
+
+    # Per trie, the pending lengths searched from every node, then from the
+    # root alone. On the random trie's 236 nodes the whole space takes
+    # minutes, so it takes every node at length 3 and the root at length 4.
+    NARROW_SPACE = {
+        "workflow": ((3, 4, 5), ()),
+        "forked": ((3, 4, 5), ()),
+        "random": ((3,), (4,)),
+    }
+
+    @pytest.mark.parametrize("trie_name", list(NARROW_SPACE))
+    def test_bounded_search_is_the_level_walk_within_the_bound(
+        self, trie_name, request, monkeypatch
+    ):
+        # Every bound from cost - 1 to cost + n + 1 for n pending events:
+        # those up to cost + n - 2 take the narrow probe (only slice nodes
+        # whose parent carries pending[-3], plus the direct child), the rest
+        # the pair probe. Both must keep exactly the level walk's states
+        # that cost at most the bound, in its order.
+        if trie_name == "random":
+            trie = test_trie.random_trie()
+        else:
+            trie = request.getfixturevalue(f"{trie_name}_trie")
+        alphabet = range(len(trie.alphabet) + 1)  # the last code is in no node
+        lengths, root_lengths = self.NARROW_SPACE[trie_name]
+        narrow = []
+        original = Trie.starts_at
+
+        def counting_starts_at(self, *args):
+            out = original(self, *args)
+            if args[3] is not None:
+                narrow.append(bool(out))
+            return out
+
+        monkeypatch.setattr(Trie, "starts_at", counting_starts_at)
+        space = [(node, n) for node in range(trie.node_count) for n in lengths]
+        space += [(ROOT, n) for n in root_lengths]
+        for node, n in space:
+            for pending in itertools.product(alphabet, repeat=n):
+                state = State.make(node=node, moves=(), suffix=pending[:-1], decay=2)
+                expected = search_view(reference_expand(trie, state, pending[-1], decay=2))
+                for bound in range(-1, n + 2):
+                    got = expand_model_moves(trie, state, pending[-1], decay=2, bound=bound)
+                    assert search_view(got) == [v for v in expected if v[1] <= bound]
+        assert any(narrow)  # the narrow probe ran, and found nodes
 
     def test_search_bound_does_not_change_the_engine(self, workflow_trie, monkeypatch):
         # The engine bounds each search by its running cost minimum; an
@@ -531,6 +582,24 @@ class TestQueries:
         engine = fixed_engine(workflow_trie)
         engine.process("c1", "z")
         assert engine.conformance_cost("c1") == 1
+
+    def test_codes_outside_the_table_are_unknown(self, workflow_trie):
+        # An int activity outside the trie's table, ROOT_LABEL (-1) among
+        # them, codes as UNKNOWN: it costs what an unseen label costs and
+        # adds no move of its own to the shared table.
+        codes = [*range(1_000_000, 1_001_000), -1, len(workflow_trie.alphabet)]
+        cases = [f"c{i % 7}" for i in range(len(codes))]
+        before = set(MOVES)
+        by_code = fixed_engine(workflow_trie)
+        costs = [by_code.process(case, code).best_cost for case, code in zip(cases, codes)]
+        assert set(MOVES) - before <= {(UNKNOWN, None)}
+        assert {m for case in by_code.case_ids() for m in by_code.best_state(case).moves()} == {
+            log_move(UNKNOWN)
+        }
+        by_label = fixed_engine(workflow_trie)
+        assert costs == [
+            by_label.process(case, f"unseen{code}").best_cost for case, code in zip(cases, codes)
+        ]
 
     def test_stream_only_labels_leave_the_trie_untouched(self, workflow_trie):
         before = serialize_trie(workflow_trie)

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trie_align import (
+    UNKNOWN,
     ActivityTable,
     ProxyLog,
     Trie,
@@ -18,7 +19,7 @@ from trie_align import (
     parse_proxy_log,
     serialize_trie,
 )
-from trie_align.trie import ROOT
+from trie_align.trie import ROOT, ROOT_LABEL
 
 from .conftest import WORKFLOW_TRACES
 from .reference import absolute_children, child, kids, walk
@@ -323,6 +324,7 @@ def index_of(trie) -> tuple:
     return (
         list(trie.pre),
         list(trie.by_pre),
+        list(trie.up),
         list(trie.size),
         {key: list(bucket) for key, bucket in trie.buckets.items()},
     )
@@ -339,6 +341,11 @@ class TestSearchIndex:
         assert sorted(trie.pre) == list(range(trie.node_count))
         for node in range(trie.node_count):
             assert trie.by_pre[trie.pre[node]] == node
+
+    def test_up_holds_each_positions_parent_label(self, trie):
+        assert trie.up[trie.pre[ROOT]] == ROOT_LABEL
+        for node in range(1, trie.node_count):
+            assert trie.up[trie.pre[node]] == trie.labels[trie.parents[node]]
 
     def test_subtree_interval_holds_exactly_the_descendants(self, trie):
         for node in range(trie.node_count):
@@ -382,6 +389,26 @@ class TestSearchIndex:
                             for k in frontier
                             if trie.labels[k] == code and child(trie, k, next_code) is not None
                         ]
+
+    def test_starts_at_prev_code_keeps_nodes_whose_parent_carries_it(self, trie):
+        # The pair slice, kept to the nodes whose parent is not the root and
+        # carries prev_code, in preorder. No parent carries UNKNOWN, a code
+        # past the alphabet or the root's label.
+        alphabet = range(len(trie.alphabet))
+        nowhere = (UNKNOWN, ROOT_LABEL, len(trie.alphabet), len(trie.alphabet) + 7)
+        for node in range(trie.node_count):
+            for code in alphabet:
+                for next_code in alphabet:
+                    pair = trie.starts_at(node, code, next_code)
+                    for prev_code in alphabet:
+                        assert trie.starts_at(node, code, next_code, prev_code) == [
+                            k
+                            for k in pair
+                            if trie.parents[k] != ROOT
+                            and trie.labels[trie.parents[k]] == prev_code
+                        ]
+                    for prev_code in nowhere:
+                        assert trie.starts_at(node, code, next_code, prev_code) == []
 
     def test_starts_at_unknown_code_or_level(self, trie):
         unknown = len(trie.alphabet) + 3
