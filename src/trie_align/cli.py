@@ -2,9 +2,10 @@
 and oracle comparison.
 
 Exit codes: 0 on success, 2 on input errors, 3 on connection errors. Every
-subcommand prints a human-readable report by default and a single JSON
-document with ``--json``. Set ``TRIE_ALIGN_LOG`` to a logging level name
-(e.g. ``debug``) for verbose output.
+subcommand but ``serve`` prints a human-readable report by default and a
+single JSON document with ``--json``; ``serve`` has no ``--json`` and always
+prints its final report as one JSON line. Set ``TRIE_ALIGN_LOG`` to a
+logging level name (e.g. ``debug``) for verbose output.
 """
 
 from __future__ import annotations
@@ -133,14 +134,13 @@ def _check_cases(
     """
     trie = engine.trie
     label = trie.alphabet.label
+    sink = EngineSink(engine)
     per_trace = []
-    total_micros = 0.0
     for case_id, activities in cases.items():
-        events_micros = 0.0
+        before = sink.computation
         per_event_costs = []
         for seq, activity in enumerate(activities, 1):
-            result = engine.process(case_id, activity)
-            events_micros += result.processing_micros
+            result = sink.send(Event(case_id, activity))
             if per_event:
                 per_event_costs.append(result.best_cost)
             if records is not None:
@@ -150,7 +150,7 @@ def _check_cases(
                     "activity": activity,
                     "best_cost": result.best_cost,
                     "states_in_case": len(engine.states(case_id)),
-                    "processing_micros": round(result.processing_micros, 3),
+                    "processing_micros": round(sink.window[-1], 3),
                     "alignment": alignment_pairs(
                         engine.best_state(case_id).moves(), activities[:seq], label
                     ),
@@ -162,13 +162,12 @@ def _check_cases(
             "events": len(activities),
             "prefix_cost": best.cost,
             "complete_cost": best.cost + trie.min_to_end[best.node],
-            "micros": round(events_micros, 1),
+            "micros": round(sink.computation - before, 1),
         }
         if per_event:
             row["per_event_costs"] = per_event_costs
         per_trace.append(row)
-        total_micros += events_micros
-    return per_trace, total_micros
+    return per_trace, sink.computation
 
 
 def cmd_check(args: argparse.Namespace) -> int:

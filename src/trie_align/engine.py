@@ -62,7 +62,6 @@ so no move is stored twice.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -186,15 +185,13 @@ class ProcessResult(NamedTuple):
     """Outcome of one processed event.
 
     ``sync`` tells whether a synchronous move consumed the event,
-    ``new_states`` holds the states the event created, ``best_cost`` is
-    the cheapest of their costs and ``processing_micros`` the time the
-    call took.
+    ``new_states`` holds the states the event created and ``best_cost`` is
+    the cheapest of their costs.
     """
 
     sync: bool
     new_states: tuple[State, ...]
     best_cost: int
-    processing_micros: float
 
 
 class _CaseEntry:
@@ -441,7 +438,6 @@ class Engine:
         self._buffer: dict[str, _CaseEntry] = {}
         self._total_states = 0
         self.peak_total_states = 0
-        self.states_created = 0
 
     # -- ingestion ---------------------------------------------------------
 
@@ -451,15 +447,15 @@ class Engine:
         ``activity`` may be a label or a code of the trie's table; a label
         the trie lacks, and an int outside the table, codes as
         :data:`~trie_align.events.UNKNOWN`, which its moves carry.
-        ``timestamp`` is accepted for callers that pass it positionally,
-        and never read. Returns the per-event result.
+        ``timestamp`` is never read; it stays only for the benchmark's call
+        sites, which pass it positionally. Returns the per-event result, and
+        no timing: :class:`~trie_align.stream.EngineSink` times the call.
         """
         if isinstance(activity, str):
             code = self._code(activity)
         else:
             code = activity if 0 <= activity < len(self.trie.alphabet) else UNKNOWN
 
-        started = time.perf_counter_ns()
         entry = self._buffer.get(case_id)
         if entry is None:
             entry = _CaseEntry()
@@ -468,7 +464,6 @@ class Engine:
             entry.states.append(State(0, ROOT, [], 0, self._root_decay + 1))
             entry.next_state_id = 1
             self._total_states += 1
-            self.states_created += 1
 
         entry.events_seen += 1
         fresh_decay = decay_time(self._avg, entry.events_seen, self.policy)
@@ -550,7 +545,6 @@ class Engine:
         for s in new_states:
             s.state_id = entry.next_state_id
             entry.next_state_id += 1
-        self.states_created += len(new_states)
 
         survivors.extend(new_states)
         entry.states = survivors
@@ -561,12 +555,14 @@ class Engine:
         if len(survivors) > entry.peak_states:
             entry.peak_states = len(survivors)
 
-        best_cost = min(s.cost for s in new_states)
-        elapsed_micros = (time.perf_counter_ns() - started) / 1000.0
-
-        return ProcessResult(synced, tuple(new_states), best_cost, elapsed_micros)
+        return ProcessResult(synced, tuple(new_states), min(s.cost for s in new_states))
 
     # -- queries -----------------------------------------------------------
+
+    @property
+    def states_created(self) -> int:
+        """States created so far, roots included: every case numbers its states from 0."""
+        return sum(entry.next_state_id for entry in self._buffer.values())
 
     def _entry(self, case_id: str) -> _CaseEntry:
         entry = self._buffer.get(case_id)

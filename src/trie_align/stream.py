@@ -19,9 +19,9 @@ remote TCP endpoint, throttled or flat out: in the order given, as an
 iterator yields them, or in timestamp order with ties in the order given
 and events without a timestamp last. Every report of an engine run,
 replay and server alike, comes from one meter, :class:`EngineSink`, whose
-memory does not grow with the stream: its latencies only ever count
-engine processing time; waiting for the throttle or the socket is
-reported as idle time.
+memory does not grow with the stream. A latency is the time of one
+:meth:`Engine.process` call, taken by the sink around it; waiting for the
+throttle or the socket is reported as idle time.
 
 The simulator, :func:`simulate_stream`, samples the trie's root-to-end
 paths, corrupts each with a :class:`Noiser` and interleaves them as
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Iterator, Sequence
 
-from .engine import Engine
+from .engine import Engine, ProcessResult
 from .events import Event
 from .trie import Trie
 
@@ -254,9 +254,9 @@ _P50_WINDOW = 65_536
 class EngineSink:
     """Feeds events straight into an in-process engine; :meth:`report` is the one meter.
 
-    Count, computation (the sum) and max cover every event sent; the p50
-    covers the latest ``_P50_WINDOW`` events only, so memory stays fixed
-    on an unbounded stream.
+    :meth:`send` times each engine call and :meth:`record` keeps it. Count,
+    computation (the sum) and max cover every latency; the p50 covers the
+    latest ``_P50_WINDOW`` only, so memory stays fixed on an endless stream.
     """
 
     def __init__(self, engine: Engine) -> None:
@@ -266,9 +266,13 @@ class EngineSink:
         self.peak = 0.0
         self.window: deque[float] = deque(maxlen=_P50_WINDOW)
 
-    def send(self, event: Event) -> None:
-        result = self.engine.process(event.case_id, event.activity, event.timestamp)
-        micros = result.processing_micros
+    def send(self, event: Event) -> ProcessResult:
+        started = time.perf_counter_ns()
+        result = self.engine.process(event.case_id, event.activity)
+        self.record((time.perf_counter_ns() - started) / 1000.0)
+        return result
+
+    def record(self, micros: float) -> None:
         self.processed += 1
         self.computation += micros
         if micros > self.peak:

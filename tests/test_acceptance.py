@@ -216,8 +216,9 @@ def test_c7_throughput_on_large_trie():
     for frame in simulate_stream(
         trie, noise_level=0.10, seed=11, max_events=target_events, duration=None
     ):
-        result = engine.process(frame.case_id, frame.activity, frame.timestamp)
-        latencies.append(result.processing_micros)
+        started = time.perf_counter_ns()
+        engine.process(frame.case_id, frame.activity, frame.timestamp)
+        latencies.append((time.perf_counter_ns() - started) / 1000.0)
 
     count = len(latencies)
     mean_micros = sum(latencies) / len(latencies)

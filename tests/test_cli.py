@@ -286,6 +286,22 @@ class TestCheck:
             {"log": "b", "model": "b"},
         ]
 
+    def test_trace_micros_are_the_sum_of_its_record_micros(self, trie_file, tmp_path, capsys):
+        # One meter times every event: a trace's micros is the change in its
+        # sum over the trace, and each record carries that event's latency.
+        log = tmp_path / "log.csv"
+        log.write_text("case,activity\nc1,a\nc2,a\nc1,b\nc2,x\nc1,e\nc2,b\nc2,e\n")
+        records = tmp_path / "records.jsonl"
+        argv = ["check", "--trie", str(trie_file), "--log", str(log), "--records", str(records)]
+        report = run_json(capsys, [*argv, "--json"])
+        lines = [json.loads(ln) for ln in records.read_text().splitlines()]
+        for row in report["per_trace"]:
+            micros = [r["processing_micros"] for r in lines if r["case_id"] == row["case_id"]]
+            assert len(micros) == row["events"]
+            assert all(m > 0 for m in micros)
+            # Records round to 0.001 us and rows to 0.1 us.
+            assert abs(row["micros"] - sum(micros)) <= 0.05 + 0.0005 * len(micros) + 1e-9
+
     def test_interleaved_cases_report_case_by_case(self, trie_file, tmp_path, capsys):
         # Two cases whose rows alternate, the later id first in the file.
         activities = {"c2": ["a", "y", "b", "e"], "c1": ["a", "b", "x", "e"]}

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from trie_align import (
     Engine,
     EngineConfig,
     Move,
+    ProcessResult,
     UnknownCaseError,
     build_trie,
     complete_alignment,
@@ -448,6 +450,34 @@ class TestPinnedOutcomes:
             )
             digest.update(repr(outcome).encode())
         assert digest.hexdigest() == self.DIGESTS[trie_name, policy_name]
+
+
+class TestEngineKeepsNoClock:
+    def test_result_has_no_timing(self):
+        assert ProcessResult._fields == ("sync", "new_states", "best_cost")
+
+    def test_process_reads_no_clock(self, workflow_trie, monkeypatch):
+        def no_clock():
+            raise AssertionError("the engine read a clock")
+
+        monkeypatch.setattr(time, "perf_counter_ns", no_clock)
+        monkeypatch.setattr(time, "perf_counter", no_clock)
+        engine = Engine(EngineConfig(trie=workflow_trie))
+        costs = [engine.process("c", a).best_cost for a in ["a", "b", "x", "c", "e"]]
+        assert costs == [0, 0, 1, 1, 1]
+
+
+class TestStatesCreated:
+    @pytest.mark.parametrize("trie_name, policy_name", sorted(TestPinnedOutcomes.DIGESTS))
+    def test_one_root_per_case_plus_every_new_state(self, workflow_trie, trie_name, policy_name):
+        trie = workflow_trie if trie_name == "workflow" else seeded_random_trie()
+        engine = Engine(EngineConfig(trie=trie, decay=POLICIES[policy_name]))
+        cases = set()
+        new_states = 0
+        for event in simulate_stream(trie, 0.3, seed=7, max_events=2000, duration=None):
+            new_states += len(engine.process(event.case_id, event.activity).new_states)
+            cases.add(event.case_id)
+            assert engine.states_created == len(cases) + new_states
 
 
 class TestSuffixBound:

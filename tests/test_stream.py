@@ -99,25 +99,29 @@ class TestFrames:
 
 
 class ScriptedEngine:
-    """Stands in for an engine: each processed event takes the next scripted latency."""
+    """Stands in for an engine: each processed event takes ``seconds`` and syncs."""
 
     peak_total_states = 0
 
-    def __init__(self, micros):
-        self._micros = iter(micros)
+    def __init__(self, seconds=0.0):
+        self.seconds = seconds
+        self.calls = []
 
     def process(self, case_id, activity, timestamp=None):
-        return ProcessResult(True, (), 0, next(self._micros))
+        self.calls.append((case_id, activity, timestamp))
+        if self.seconds:
+            time.sleep(self.seconds)
+        return ProcessResult(True, (), len(self.calls))
 
     def case_ids(self):
         return []
 
 
 def metered(micros):
-    """The meter's sink after it was sent one event per scripted latency."""
-    sink = EngineSink(ScriptedEngine(micros))
-    for _ in micros:
-        sink.send(Event("c", "a"))
+    """The meter's sink after it recorded each scripted latency."""
+    sink = EngineSink(ScriptedEngine())
+    for value in micros:
+        sink.record(value)
     return sink
 
 
@@ -169,6 +173,20 @@ class TestLatencySummary:
         assert metrics.max_event_micros == max(micros) == 1e6 + 999
         assert metrics.p50_event_micros == nearest_rank(micros[-window:], 50)
         assert metrics.p50_event_micros != nearest_rank(micros, 50)
+
+
+class TestEngineSink:
+    def test_send_returns_the_result_and_records_one_latency_per_call(self):
+        engine = ScriptedEngine(seconds=0.001)
+        sink = EngineSink(engine)
+        results = [sink.send(Event("c", "a", "2022-08-01 15:00")) for _ in range(3)]
+        assert results == [ProcessResult(True, (), k) for k in (1, 2, 3)]
+        # The sink never passes the timestamp: the engine does not read it.
+        assert engine.calls == [("c", "a", None)] * 3
+        assert sink.processed == len(sink.window) == 3
+        assert min(sink.window) >= 1_000.0
+        assert sink.computation == sum(sink.window)
+        assert sink.peak == max(sink.window)
 
 
 class TestInterleaving:
