@@ -34,7 +34,6 @@ from .events import (
 from .oracle import optimal_complete, optimal_prefix, optimal_prefix_costs
 from .stream import (
     Noiser,
-    RunMetrics,
     StreamServer,
     parse_frame,
     replay,
@@ -55,7 +54,6 @@ __all__ = [
     "ParseError",
     "ProcessResult",
     "ProxyLog",
-    "RunMetrics",
     "State",
     "StreamServer",
     "Trie",

@@ -326,7 +326,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             seed=args.seed,
             max_events=max_events,
             duration=args.duration,
-            cases_in_flight=args.cases_in_flight,
         )
         engine = Engine(EngineConfig(trie=trie, decay=_decay_policy(args)))
         address = _parse_addr(args.connect) if args.connect else None
@@ -340,7 +339,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             return _fail(str(exc), EXIT_CONNECT)
         started = time.perf_counter()
         try:
-            sent = replay(events, sink, rate=args.rate).events_processed
+            sent = replay(events, sink, rate=args.rate)["events_processed"]
             server_metrics = sink.request_metrics()
         except OSError as exc:
             return _fail(f"connection to {args.connect} lost: {exc}", EXIT_CONNECT)
@@ -354,7 +353,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     metrics = replay(events, EngineSink(engine), rate=args.rate)
     completed_costs = [engine.conformance_cost(case_id) for case_id in engine.case_ids()]
     report = {
-        **metrics.to_dict(),
+        **metrics,
         "cases": len(completed_costs),
         "mean_case_cost": round(sum(completed_costs) / len(completed_costs), 4)
         if completed_costs
@@ -428,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=None, help="run for N seconds")
     p.add_argument("--max-events", type=int, default=None, help="stop after N events")
     p.add_argument("--rate", type=float, default=None, help="throttle to events/second")
-    p.add_argument("--cases-in-flight", type=int, default=32)
     _add_decay_flags(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_simulate)

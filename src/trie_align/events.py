@@ -144,11 +144,6 @@ class ActivityTable:
     def __contains__(self, label: str) -> bool:
         return label in self._code_of
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ActivityTable):
-            return NotImplemented
-        return self._labels == other._labels
-
     def __repr__(self) -> str:
         return f"ActivityTable({self._labels!r})"
 

@@ -12,14 +12,16 @@ engine; it processes lines in the order it reads them and answers a
 command inline, so the answer counts every frame read before it. Each
 line is decoded once, by :func:`parse_frame`. Malformed lines (non-UTF-8
 bytes included) are counted, logged, and skipped; they never take the
-engine down.
+engine down. A connection that sends more than ``_MAX_LINE`` bytes
+without a newline counts one malformed frame and is closed.
 
 Replay sends events themselves, uncopied, to an in-process engine or a
 remote TCP endpoint, throttled or flat out: in the order given, as an
 iterator yields them, or in timestamp order with ties in the order given
 and events without a timestamp last. Every report of an engine run,
-replay and server alike, comes from one meter, :class:`EngineSink`, whose
-memory does not grow with the stream. A latency is the time of one
+replay and server alike, is the one dict of one meter,
+:class:`EngineSink`, whose memory does not grow with the stream; the
+server adds its malformed-frame count. A latency is the time of one
 :meth:`Engine.process` call, taken by the sink around it; waiting for the
 throttle or the socket is reported as idle time.
 
@@ -38,7 +40,6 @@ import socket
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Iterator, Sequence
 
@@ -156,28 +157,29 @@ class Noiser:
         return out
 
 
+# Cases the simulator keeps open at once.
+_CASES_IN_FLIGHT = 32
+
+
 def simulate_stream(
     trie: Trie,
     noise_level: float,
     seed: int,
     max_events: int | None,
     duration: float | None,
-    cases_in_flight: int = 32,
 ) -> Iterator[Event]:
     """An endless interleaved stream of noisy model traces.
 
     Traces are root-to-end paths of the trie sampled with replacement;
     each sampled trace, noised by a :class:`Noiser` seeded ``seed + 1``,
-    becomes a fresh case. Yields events until the event budget or the
-    duration, counted from the first event, runs out. Fully deterministic
-    for a fixed seed when bounded by ``max_events``. Raises ValueError at
-    call time, before any event, for a noise level outside [0, 1], no
-    case in flight, or a ``max_events`` or ``duration`` that is not
-    positive.
+    becomes a fresh case, and ``_CASES_IN_FLIGHT`` cases take turns, one
+    event each. Yields events until the event budget or the duration,
+    counted from the first event, runs out. Fully deterministic for a
+    fixed seed when bounded by ``max_events``. Raises ValueError at
+    call time, before any event, for a noise level outside [0, 1], or a
+    ``max_events`` or ``duration`` that is not positive.
     """
     noiser = Noiser(trie.model_activity_labels(), noise_level, seed + 1)
-    if cases_in_flight < 1:
-        raise ValueError(f"cases in flight must be at least 1, not {cases_in_flight!r}")
     if max_events is not None and max_events < 1:
         raise ValueError(f"max events must be at least 1, not {max_events!r}")
     if duration is not None and not duration > 0:
@@ -197,7 +199,7 @@ def simulate_stream(
                 return
             if deadline is not None and time.monotonic() >= deadline:
                 return
-            while len(active) < cases_in_flight:
+            while len(active) < _CASES_IN_FLIGHT:
                 end = end_ids[rng.randrange(len(end_ids))]
                 activities = noiser.apply([label_of(c) for c in trie.node_path_codes(end)])
                 case_counter += 1
@@ -215,36 +217,6 @@ def simulate_stream(
 # -- replay ----------------------------------------------------------------
 
 BY_TIMESTAMP = "by-timestamp"
-
-
-@dataclass
-class RunMetrics:
-    """Replay/serve measurements; computation excludes all waiting."""
-
-    events_processed: int = 0
-    computation_micros: float = 0.0
-    idle_micros: float = 0.0
-    wall_micros: float = 0.0
-    mean_event_micros: float = 0.0
-    p50_event_micros: float = 0.0
-    max_event_micros: float = 0.0
-    max_buffer_states: int = 0
-    max_resident_cases: int = 0
-    frames_malformed: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "events_processed": self.events_processed,
-            "computation_micros": round(self.computation_micros, 1),
-            "idle_micros": round(self.idle_micros, 1),
-            "wall_micros": round(self.wall_micros, 1),
-            "mean_event_micros": round(self.mean_event_micros, 3),
-            "p50_event_micros": round(self.p50_event_micros, 3),
-            "max_event_micros": round(self.max_event_micros, 3),
-            "max_buffer_states": self.max_buffer_states,
-            "max_resident_cases": self.max_resident_cases,
-            "frames_malformed": self.frames_malformed,
-        }
 
 
 # Latest per-event latencies the meter keeps for its p50.
@@ -279,25 +251,26 @@ class EngineSink:
             self.peak = micros
         self.window.append(micros)
 
-    def report(self, wall: float, idle: float = 0.0) -> RunMetrics:
+    def report(self, wall: float, idle: float = 0.0) -> dict:
         """The run so far, over ``wall`` micros; time not spent processing counts as idle.
 
-        The p50 takes the nearest rank over the window, the lower middle
-        value of an even count.
+        Totals are rounded to 0.1 us and per-event figures to 0.001 us. The
+        p50 takes the nearest rank over the window, the lower middle value
+        of an even count.
         """
         n = self.processed
         window = self.window
-        return RunMetrics(
-            events_processed=n,
-            computation_micros=self.computation,
-            idle_micros=max(idle, wall - self.computation),
-            wall_micros=wall,
-            mean_event_micros=self.computation / n if n else 0.0,
-            p50_event_micros=sorted(window)[(len(window) - 1) // 2] if window else 0.0,
-            max_event_micros=self.peak,
-            max_buffer_states=self.engine.peak_total_states,
-            max_resident_cases=len(self.engine.case_ids()),
-        )
+        return {
+            "events_processed": n,
+            "computation_micros": round(self.computation, 1),
+            "idle_micros": round(max(idle, wall - self.computation), 1),
+            "wall_micros": round(wall, 1),
+            "mean_event_micros": round(self.computation / n, 3) if n else 0.0,
+            "p50_event_micros": round(sorted(window)[(len(window) - 1) // 2], 3) if window else 0.0,
+            "max_event_micros": round(self.peak, 3),
+            "max_buffer_states": self.engine.peak_total_states,
+            "max_resident_cases": len(self.engine.case_ids()),
+        }
 
 
 _CONNECT_ATTEMPTS = 3
@@ -354,8 +327,8 @@ def replay(
     sink,
     interleave: str | None = None,
     rate: float | None = None,
-) -> RunMetrics:
-    """Send every event to ``sink`` exactly once and measure the run.
+) -> dict:
+    """Send every event to ``sink`` exactly once and report the run.
 
     By default the events go in the order given, drawn one at a time, so
     an iterator such as :func:`simulate_stream` streams. ``"by-timestamp"``
@@ -365,9 +338,10 @@ def replay(
 
     ``rate`` throttles to events per second (sleep time counts as idle);
     None streams flat out, and a rate that is not positive raises
-    ``ValueError``. An :class:`EngineSink` reports the run through
-    :meth:`EngineSink.report`; any other sink, a TCP sink say, only yields
-    the client-side count, idle and wall time.
+    ``ValueError``. Over an :class:`EngineSink` the report is
+    :meth:`EngineSink.report`; over any other sink, a TCP sink say, it is
+    only the client-side ``events_processed``, ``idle_micros`` and
+    ``wall_micros``.
     """
     if interleave == BY_TIMESTAMP:
         events = sorted(events, key=lambda ev: (ev.timestamp is None, ev.timestamp or ""))
@@ -392,7 +366,7 @@ def replay(
     wall = (time.perf_counter() - start) * 1e6
     if isinstance(sink, EngineSink):
         return sink.report(wall, idle)
-    return RunMetrics(events_processed=count, idle_micros=idle, wall_micros=wall)
+    return {"events_processed": count, "idle_micros": round(idle, 1), "wall_micros": round(wall, 1)}
 
 
 # -- server ----------------------------------------------------------------
@@ -403,6 +377,8 @@ _READ_CHUNK = 65536
 _DRAIN_SECONDS = 5.0
 # How long an answer may take to write before its connection is dropped.
 _ANSWER_TIMEOUT = 5.0
+# Bytes a connection may hold without a newline before it is dropped.
+_MAX_LINE = 1 << 20
 
 
 class StreamServer:
@@ -414,7 +390,9 @@ class StreamServer:
     are that sink's report. Each ready connection yields one bounded read;
     its complete lines are decoded and processed at once, in the order
     read, and a command is answered inline, so its answer counts every
-    frame read before it. A partial line waits in the connection's buffer.
+    frame read before it. A partial line waits in the connection's buffer;
+    once that holds more than ``_MAX_LINE`` bytes without a newline, the
+    connection counts one malformed frame and is closed.
     While the engine is busy nothing is read, so TCP flow control holds
     the clients back. Start with :meth:`start`, stop with :meth:`stop` or
     a ``shutdown`` control frame; call :meth:`metrics` directly only once
@@ -485,9 +463,7 @@ class StreamServer:
     def metrics(self) -> dict:
         """The engine sink's report since :meth:`start`, plus the malformed-frame count."""
         wall = (time.perf_counter() - self._started_at) * 1e6 if self._started_at else 0.0
-        metrics = self._sink.report(wall)
-        metrics.frames_malformed = self.frames_malformed
-        return metrics.to_dict()
+        return {**self._sink.report(wall), "frames_malformed": self.frames_malformed}
 
     # -- internals
 
@@ -541,6 +517,10 @@ class StreamServer:
             if line and not self._handle_line(conn, line):
                 alive = False
                 break
+        if alive and len(pending) > _MAX_LINE:
+            self.frames_malformed += 1
+            logger.warning("dropping a connection whose line exceeds %d bytes", _MAX_LINE)
+            alive = False
         if not alive:
             selector.unregister(conn)
             conn.close()

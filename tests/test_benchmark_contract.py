@@ -73,7 +73,7 @@ def test_csv_chain_delivers_every_row_once_in_timestamp_order(monkeypatch, workf
 
     text = "\n".join([header, *rows]) + "\n"
     metrics = replay(parse_event_log(text), Sink(), interleave="by-timestamp")
-    assert metrics.events_processed == 3_000
+    assert metrics["events_processed"] == 3_000
     assert seen == expected
 
 

@@ -26,6 +26,9 @@ c1,c
 
 CONFORMING_LOG_HEADER = "case,activity\n"
 
+# The second row has three fields under a two-column header.
+MALFORMED_LOG = "case,activity\nc1,a\nc1,b,c\n"
+
 
 @pytest.fixture
 def trie_file(tmp_path):
@@ -114,6 +117,13 @@ class TestBuildTrie:
         assert (
             main(["build-trie", "--proxy-log", str(proxy), "--out", str(tmp_path / "x")]) == 2
         )
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        proxy = tmp_path / "proxy.txt"
+        proxy.write_text(WORKFLOW_PROXY_TEXT)
+        out = tmp_path / "missing-dir" / "model.trie"
+        assert main(["build-trie", "--proxy-log", str(proxy), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write trie")
 
     def test_larger_generated_proxy_builds_quickly(self, tmp_path, capsys):
         import random
@@ -213,6 +223,17 @@ class TestCheck:
         log = tmp_path / "log.csv"
         log.write_text(CHECK_LOG)
         assert main(["check", "--trie", str(bad), "--log", str(log)]) == 2
+
+    def test_unreadable_log_exits_2(self, trie_file, tmp_path, capsys):
+        code = main(["check", "--trie", str(trie_file), "--log", str(tmp_path / "nope.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot read log")
+
+    def test_malformed_log_exits_2(self, trie_file, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_text(MALFORMED_LOG)
+        assert main(["check", "--trie", str(trie_file), "--log", str(log)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_per_event_records_file(self, trie_file, tmp_path, capsys):
         log = tmp_path / "log.csv"
@@ -432,6 +453,12 @@ class TestOracle:
         assert agg["cost_ratio"] is None  # 0/0 reported as exact-match count
         assert agg["exact_matches"] == agg["traces"] == 1
 
+    def test_malformed_log_exits_2(self, trie_file, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_text(MALFORMED_LOG)
+        assert main(["oracle", "--trie", str(trie_file), "--log", str(log)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_size_guard_refuses(self, trie_file, tmp_path, capsys):
         events = "".join(f"c1,{a}\n" for a in ("a,b,c,d,e".split(",") * 100000))
         log = tmp_path / "huge.csv"
@@ -569,7 +596,6 @@ class TestSimulate:
         [
             ["--duration", "0"],
             ["--duration", "nan"],
-            ["--cases-in-flight", "0"],
             ["--noise", "1.5"],
             ["--noise", "-0.1"],
             ["--noise", "1.5", "--connect", "127.0.0.1:9"],

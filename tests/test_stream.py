@@ -43,7 +43,7 @@ case,activity,timestamp
 """
 
 
-# Keys of the replay and server metrics reports; reports may add keys, never drop these.
+# Keys of the server's metrics report; replay over an EngineSink reports all but frames_malformed.
 RUN_METRICS_KEYS = {
     "events_processed",
     "computation_micros",
@@ -135,29 +135,29 @@ def nearest_rank(values, p):
 class TestLatencySummary:
     def test_empty(self):
         metrics = metered([]).report(wall=0.0)
-        assert metrics.events_processed == 0
-        assert (metrics.mean_event_micros, metrics.p50_event_micros) == (0.0, 0.0)
-        assert (metrics.max_event_micros, metrics.computation_micros) == (0.0, 0.0)
+        assert metrics["events_processed"] == 0
+        assert (metrics["mean_event_micros"], metrics["p50_event_micros"]) == (0.0, 0.0)
+        assert (metrics["max_event_micros"], metrics["computation_micros"]) == (0.0, 0.0)
 
     def test_single_value(self):
         metrics = metered([7.5]).report(wall=10.0)
-        assert metrics.events_processed == 1
-        assert metrics.mean_event_micros == metrics.p50_event_micros == 7.5
-        assert metrics.max_event_micros == 7.5
+        assert metrics["events_processed"] == 1
+        assert metrics["mean_event_micros"] == metrics["p50_event_micros"] == 7.5
+        assert metrics["max_event_micros"] == 7.5
 
     def test_even_length_takes_nearest_rank(self):
         # n = 4: p50 is rank ceil(2.0) = 2, the lower middle value.
         micros = [4.0, 1.0, 3.0, 2.0]
         metrics = metered(micros).report(wall=20.0)
-        assert metrics.p50_event_micros == nearest_rank(micros, 50) == 2.0
-        assert (metrics.mean_event_micros, metrics.max_event_micros) == (2.5, 4.0)
+        assert metrics["p50_event_micros"] == nearest_rank(micros, 50) == 2.0
+        assert (metrics["mean_event_micros"], metrics["max_event_micros"]) == (2.5, 4.0)
 
     def test_p50_rank_on_twenty_values(self):
         # n = 20: p50 is rank 10.
         micros = [float(v) for v in range(20, 0, -1)]
         metrics = metered(micros).report(wall=300.0)
-        assert metrics.p50_event_micros == nearest_rank(micros, 50) == 10.0
-        assert metrics.max_event_micros == 20.0
+        assert metrics["p50_event_micros"] == nearest_rank(micros, 50) == 10.0
+        assert metrics["max_event_micros"] == 20.0
 
     def test_window_keeps_the_latest_events(self):
         # Integer-valued latencies, so every sum is exact. The slow early
@@ -166,13 +166,15 @@ class TestLatencySummary:
         micros = [1e6 + i for i in range(1_000)] + [float(i % 977) for i in range(window)]
         sink = metered(micros)
         assert len(sink.window) == window
+        assert sink.processed == len(micros)
+        assert sink.computation == sum(micros)
         metrics = sink.report(wall=sum(micros))
-        assert metrics.events_processed == len(micros)
-        assert metrics.computation_micros == sum(micros)
-        assert metrics.mean_event_micros == sum(micros) / len(micros)
-        assert metrics.max_event_micros == max(micros) == 1e6 + 999
-        assert metrics.p50_event_micros == nearest_rank(micros[-window:], 50)
-        assert metrics.p50_event_micros != nearest_rank(micros, 50)
+        assert metrics["events_processed"] == len(micros)
+        assert metrics["computation_micros"] == sum(micros)
+        assert metrics["mean_event_micros"] == round(sum(micros) / len(micros), 3)
+        assert metrics["max_event_micros"] == max(micros) == 1e6 + 999
+        assert metrics["p50_event_micros"] == nearest_rank(micros[-window:], 50)
+        assert metrics["p50_event_micros"] != nearest_rank(micros, 50)
 
 
 class TestEngineSink:
@@ -238,7 +240,7 @@ class TestReplay:
 
         recorder = Recorder()
         metrics = replay(sample_events(), recorder)
-        assert metrics.events_processed == 5
+        assert metrics["events_processed"] == 5
         assert recorder.seen == [(ev.case_id, ev.activity) for ev in sample_events()]
         per_case: dict[str, list[str]] = {}
         for case_id, activity in recorder.seen:
@@ -256,7 +258,7 @@ class TestReplay:
 
         recorder = TimestampRecorder()
         metrics = replay(sample_events(), recorder, interleave="by-timestamp")
-        assert metrics.events_processed == 5
+        assert metrics["events_processed"] == 5
         assert [(case, act) for case, act, _ in recorder.seen] == [
             ("1", "a"),
             ("1", "b"),
@@ -282,26 +284,26 @@ class TestReplay:
         engine = Engine(EngineConfig(trie=workflow_trie, decay=DecayPolicy(df=0, min_dt=2)))
         sink = EngineSink(engine)
         metrics = replay(sample_events(), sink)
-        assert RUN_METRICS_KEYS <= metrics.to_dict().keys()
-        assert metrics.events_processed == 5
-        assert metrics.mean_event_micros > 0
-        assert metrics.p50_event_micros <= metrics.max_event_micros
-        assert metrics.max_buffer_states >= metrics.max_resident_cases == 2
-        assert metrics.computation_micros + metrics.idle_micros == pytest.approx(
-            metrics.wall_micros, rel=0.25
+        assert metrics.keys() == RUN_METRICS_KEYS - {"frames_malformed"}
+        assert metrics["events_processed"] == 5
+        assert metrics["mean_event_micros"] > 0
+        assert metrics["p50_event_micros"] <= metrics["max_event_micros"]
+        assert metrics["max_buffer_states"] >= metrics["max_resident_cases"] == 2
+        assert metrics["computation_micros"] + metrics["idle_micros"] == pytest.approx(
+            metrics["wall_micros"], rel=0.25
         )
 
     def test_empty_replay(self, workflow_trie):
         engine = Engine(EngineConfig(trie=workflow_trie))
         metrics = replay([], EngineSink(engine))
-        assert metrics.events_processed == 0
-        assert metrics.computation_micros == 0
+        assert metrics["events_processed"] == 0
+        assert metrics["computation_micros"] == 0
 
     def test_throttled_replay_accrues_idle_time(self, workflow_trie):
         engine = Engine(EngineConfig(trie=workflow_trie))
         metrics = replay(sample_events(), EngineSink(engine), rate=200.0)
-        assert metrics.idle_micros > 0
-        assert metrics.wall_micros >= 4 * 5000  # four inter-event gaps at 5 ms
+        assert metrics["idle_micros"] > 0
+        assert metrics["wall_micros"] >= 4 * 5000  # four inter-event gaps at 5 ms
 
 
 class TestNoise:
@@ -353,7 +355,6 @@ class TestSimulateStream:
         "bad",
         [
             {"noise_level": 1.5},
-            {"cases_in_flight": 0},
             {"max_events": 0},
             # Never iterated: a NaN duration would never end the stream.
             {"duration": float("nan")},
@@ -410,7 +411,7 @@ class TestStreamServer:
         policy = DecayPolicy()
         sink = EngineSink(Engine(EngineConfig(trie=workflow_trie, decay=policy)))
         replayed = replay(frames, sink)
-        assert replayed.computation_micros == sink.computation
+        assert replayed["computation_micros"] == round(sink.computation, 1)
 
         server = StreamServer(Engine(EngineConfig(trie=workflow_trie, decay=policy)), port=0)
         server.start()
@@ -420,7 +421,7 @@ class TestStreamServer:
         finally:
             served = server.stop()
         for key in ("events_processed", "max_buffer_states", "max_resident_cases"):
-            assert served[key] == getattr(replayed, key)
+            assert served[key] == replayed[key]
         assert served["events_processed"] == len(frames) > 150
         assert served["computation_micros"] == round(server._sink.computation, 1)
 
@@ -482,6 +483,25 @@ class TestStreamServer:
         ]
         metrics = json.loads(send_lines(running_server.address, lines)[0])
         assert metrics["events_processed"] == 2
+        assert metrics["frames_malformed"] == 1
+
+    def test_unknown_command_is_counted_and_left_unanswered(self, running_server):
+        lines = ['{"cmd":"reboot"}', Event("c2", "a").to_json_line(), '{"cmd":"metrics"}']
+        # The first line back is the metrics answer: the unknown command got none.
+        metrics = json.loads(send_lines(running_server.address, lines)[0])
+        assert metrics["events_processed"] == 1
+        assert metrics["frames_malformed"] == 1
+
+    def test_unterminated_line_over_the_cap_closes_its_connection(self, running_server):
+        with socket.create_connection(running_server.address, timeout=5.0) as flood:
+            with contextlib.suppress(BrokenPipeError, ConnectionResetError):
+                flood.sendall(b"x" * (2 << 20))
+            # Closed by the server: EOF or a reset, never a timeout.
+            with contextlib.suppress(ConnectionResetError):
+                assert flood.recv(4096) == b""
+        lines = [Event("c1", "a").to_json_line(), '{"cmd":"metrics"}']
+        metrics = json.loads(send_lines(running_server.address, lines)[0])
+        assert metrics["events_processed"] == 1
         assert metrics["frames_malformed"] == 1
 
     def test_shutdown_flushes_final_report(self, workflow_trie):
@@ -638,6 +658,27 @@ class TestStreamServer:
         sink.close()
         assert metrics["events_processed"] == 4
         assert running_server.engine.conformance_cost("c9") == 0
+
+    def test_tcp_sink_raises_when_the_server_closes_without_answering(self):
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+
+            def read_one_line_and_close():
+                conn, _ = listener.accept()
+                with conn, conn.makefile("rb") as file:
+                    file.readline()
+
+            closer = threading.Thread(target=read_one_line_and_close, daemon=True)
+            closer.start()
+            sink = TcpSink(*listener.getsockname())
+            try:
+                with pytest.raises(ConnectionError, match="closed the connection before answering"):
+                    sink.request_metrics()
+            finally:
+                sink.close()
+                closer.join(timeout=5.0)
+        assert not closer.is_alive()
 
     def test_tcp_sink_connect_failure_reports_retries(self, monkeypatch):
         monkeypatch.setattr(stream_mod, "_CONNECT_RETRY_DELAY", 0.01)
