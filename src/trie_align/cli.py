@@ -116,16 +116,16 @@ def cmd_build_trie(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _by_case(events: list[Event]) -> dict[str, list[str]]:
-    """Each case's activities in file order; cases in order of first appearance."""
-    cases: dict[str, list[str]] = {}
+def _by_case(events: list[Event]) -> dict[str, list[Event]]:
+    """Each case's events in file order; cases in order of first appearance."""
+    cases: dict[str, list[Event]] = {}
     for ev in events:
-        cases.setdefault(ev.case_id, []).append(ev.activity)
+        cases.setdefault(ev.case_id, []).append(ev)
     return cases
 
 
 def _check_cases(
-    engine: Engine, cases: dict[str, list[str]], per_event: bool, records
+    engine: Engine, cases: dict[str, list[Event]], per_event: bool, records
 ) -> tuple[list[dict], float]:
     """Replay ``cases`` one after another: per-trace rows and total engine micros.
 
@@ -136,30 +136,32 @@ def _check_cases(
     label = trie.alphabet.label
     sink = EngineSink(engine)
     per_trace = []
-    for case_id, activities in cases.items():
+    for case_id, events in cases.items():
         before = sink.computation
         per_event_costs = []
-        for seq, activity in enumerate(activities, 1):
-            result = sink.send(Event(case_id, activity))
+        for seq, event in enumerate(events, 1):
+            result = sink.send(event)
             if per_event:
                 per_event_costs.append(result.best_cost)
             if records is not None:
                 record = {
                     "case_id": case_id,
                     "event_seq": seq,
-                    "activity": activity,
+                    "activity": event.activity,
                     "best_cost": result.best_cost,
                     "states_in_case": len(engine.states(case_id)),
                     "processing_micros": round(sink.window[-1], 3),
                     "alignment": alignment_pairs(
-                        engine.best_state(case_id).moves(), activities[:seq], label
+                        engine.best_state(case_id).moves(),
+                        [ev.activity for ev in events[:seq]],
+                        label,
                     ),
                 }
                 records.write(json.dumps(record) + "\n")
         best = engine.best_state(case_id)
         row = {
             "case_id": case_id,
-            "events": len(activities),
+            "events": len(events),
             "prefix_cost": best.cost,
             "complete_cost": best.cost + trie.min_to_end[best.node],
             "micros": round(sink.computation - before, 1),
@@ -227,11 +229,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     except (OSError, TrieFormatError, ParseError) as exc:
         return _fail(str(exc), EXIT_INPUT)
 
-    for case_id, activities in cases.items():
-        cells = len(activities) * trie.node_count
+    for case_id, events in cases.items():
+        cells = len(events) * trie.node_count
         if cells > ORACLE_CELL_GUARD:
             return _fail(
-                f"case {case_id}: {len(activities)} events x {trie.node_count} nodes = "
+                f"case {case_id}: {len(events)} events x {trie.node_count} nodes = "
                 f"{cells} DP cells exceeds the {ORACLE_CELL_GUARD} guard; shorten the trace, "
                 "use a smaller trie, or rely on the streaming engine instead",
                 EXIT_INPUT,
@@ -246,8 +248,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     exact_matches = 0
     total_opt = 0
     total_engine = 0
-    for index, (case_id, activities) in enumerate(cases.items()):
-        codes = [trie.alphabet.code(a) for a in activities]
+    for index, (case_id, events) in enumerate(cases.items()):
+        codes = [trie.alphabet.code(ev.activity) for ev in events]
         optimal = compute(codes, trie)
         row = {"case_id": case_id, "optimal_cost": optimal}
         if engine_rows is not None:

@@ -1,17 +1,20 @@
 """Streaming conformance engine with per-case survivor states.
 
-For every case the engine keeps a small set of states, each pairing a trie
-node with the prefix alignment that led there, the pending (unconsumed)
-event suffix, the alignment cost, and a decay counter. Per arriving event:
+For every case the engine keeps the codes of its recent events, once,
+and a small set of states, each pairing a trie node with the prefix
+alignment that led there and the alignment cost. A state also records
+two event indices: ``at``, where its pending (unconsumed) suffix starts
+in the case's codes, and ``expires``, the event at which it dies. Per
+arriving event:
 
-1. Age: every stored state's decay is decremented; states reaching zero
-   are evicted. A new case's root enters with one extra event of decay,
-   which its first ageing takes; the steps below create states after
-   the ageing.
+1. Age: the stored states whose ``expires`` is past the event survive,
+   the others are evicted; nothing stored is written. A new case's root
+   enters with one extra event to live, which its first ageing takes;
+   the steps below create states after the ageing.
 2. Synchronous phase: every survivor with an empty suffix whose node has a
    child labeled with the event spawns a synchronous successor at no extra
-   cost. If at least one exists, survivors just buffer the event into
-   their suffix and the successors are added.
+   cost. If at least one exists, the successors are added, and the
+   survivors' suffixes take the event when the case appends its code.
 3. Otherwise each survivor proposes candidates: one log-move state that
    flushes its whole pending suffix plus the event as log moves, and
    model-move states found by a bounded look-ahead below its node, at
@@ -51,6 +54,10 @@ committed as log moves at once (:func:`_commit_unmatchable`). Every
 candidate the state later proposes is the same as if they had stayed
 pending.
 
+A case drops the codes no stored state has pending once it holds more
+than ``2 * (depth + 1)``, so a long case holds a few codes, not its
+history.
+
 An engine instance is single-writer: calls into :meth:`Engine.process`
 must be serialized. Scale out by partitioning the case-id space across
 engines sharing one immutable trie. Every activity the trie lacks codes
@@ -63,6 +70,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 from .alignment import MOVES, Move
@@ -114,6 +122,16 @@ def decay_time(avg_leaf_depth: float, i: int, policy: DecayPolicy) -> int:
 class State:
     """One survivor: trie node, prefix alignment, pending suffix, cost, decay.
 
+    The suffix and the decay are read, not stored: a state shares its
+    case's list of event codes, and its pending suffix is that list from
+    index ``at`` on. ``expires`` is the index of the event at which the
+    state dies, so its decay is ``expires`` less the number of codes. A
+    state a search returns starts one past the codes, at the event being
+    processed, so its suffix is empty and its decay is the one it was
+    issued until the case appends that event's code. Both are read from
+    the case, so they hold for the states the case stores and for those
+    an event has just returned, not for one evicted since.
+
     The alignment is stored as a backward-linked chain of moves shared with
     the parent state, so a successor costs one link per appended move. A
     link is a pair ``(prev, move)``: the previous link (None before the
@@ -125,27 +143,41 @@ class State:
     from it (see :mod:`trie_align.trie`).
     """
 
-    __slots__ = ("state_id", "node", "suffix", "cost", "decay", "parent_id", "_link", "moves_len")
+    __slots__ = (
+        "state_id", "node", "cost", "_codes", "at", "expires", "parent_id", "_link", "moves_len"
+    )
 
     def __init__(
         self,
         state_id: int,
         node: int,
-        suffix: list[int],
         cost: int,
-        decay: int,
+        codes: list[int],
+        at: int,
+        expires: int,
         link: tuple | None = None,
         moves_len: int = 0,
         parent_id: int = -1,
     ) -> None:
         self.state_id = state_id
         self.node = node
-        self.suffix = suffix
         self.cost = cost
-        self.decay = decay
+        self._codes = codes
+        self.at = at
+        self.expires = expires
         self.parent_id = parent_id
         self._link = link
         self.moves_len = moves_len
+
+    @property
+    def suffix(self) -> list[int]:
+        """The pending events' codes, oldest first: a copy."""
+        return self._codes[self.at :]
+
+    @property
+    def decay(self) -> int:
+        """Events the state still survives; below one once it has expired."""
+        return self.expires - max(len(self._codes), self.at)
 
     def moves(self) -> tuple[Move, ...]:
         out = []
@@ -195,11 +227,14 @@ class ProcessResult(NamedTuple):
 
 
 class _CaseEntry:
-    __slots__ = ("states", "events_seen", "next_state_id", "peak_states")
+    # ``codes`` holds the case's latest event codes; ``offset`` counts the
+    # events before the first of them.
+    __slots__ = ("states", "codes", "offset", "next_state_id", "peak_states")
 
     def __init__(self) -> None:
         self.states: list[State] = []
-        self.events_seen = 0
+        self.codes: list[int] = []
+        self.offset = 0
         self.next_state_id = 0
         self.peak_states = 0
 
@@ -207,14 +242,18 @@ class _CaseEntry:
 def _successor(parent: State, node: int, moves: Sequence[Move], cost: int, decay: int) -> State:
     """A new state on ``node``: ``parent``'s alignment plus ``moves``, at ``cost`` more.
 
-    ``moves`` are shared moves. The new state's suffix is empty and its id
-    is assigned on admission.
+    ``moves`` are shared moves. The new state starts at the event being
+    processed, one past the case's codes, so its suffix is empty; it lives
+    ``decay`` more events, and its id is assigned on admission.
     """
     link = parent._link
     for move in moves:
         link = (link, move)
+    codes = parent._codes
+    at = len(codes) + 1
     moves_len = parent.moves_len + len(moves)
-    return State(-1, node, [], parent.cost + cost, decay, link, moves_len, parent.state_id)
+    cost += parent.cost
+    return State(-1, node, cost, codes, at, at + decay, link, moves_len, parent.state_id)
 
 
 def expand_model_moves(
@@ -283,7 +322,7 @@ def expand_model_moves(
     base_level = levels[state.node]
     depth = trie.depth
 
-    pending = list(state.suffix)
+    pending = state.suffix
     pending.append(code)
     dropped: list[int] = []
     # A match spells all of pending downward from base_level + 1, so only
@@ -392,23 +431,29 @@ def _commit_unmatchable(trie: Trie, states: list[State]) -> None:
     """
     depth = trie.depth
     for s in states:
-        suffix = s.suffix
-        if len(suffix) > depth:
-            cut = len(suffix) - max(depth - trie.levels[s.node] - 1, 1)
+        codes = s._codes
+        pending = len(codes) - s.at
+        if pending > depth:
+            cut = pending - max(depth - trie.levels[s.node] - 1, 1)
             link = s._link
-            for x in suffix[:cut]:
+            for x in codes[s.at : s.at + cut]:
                 link = (link, MOVES[x, None])
             s._link = link
             s.cost += cut
             s.moves_len += cut
-            del suffix[:cut]
+            s.at += cut
 
 
 def _best(states: list[State]) -> State:
     # The latest event's states are exactly those with an empty suffix, and
     # there is always one. A case's states are in creation order, so min()
     # keeps the oldest on a tie.
-    return min((s for s in states if not s.suffix), key=lambda s: (s.cost, s.moves_len, s.node))
+    return min(
+        (s for s in states if s.at == len(s._codes)), key=lambda s: (s.cost, s.moves_len, s.node)
+    )
+
+
+_cost = attrgetter("cost")
 
 
 class Engine:
@@ -416,25 +461,37 @@ class Engine:
 
     def __init__(self, config: EngineConfig) -> None:
         """Raises ValueError when ``df`` makes the root's decay time infinite on this trie."""
-        self.trie = config.trie
-        self._code = config.trie.alphabet.code
+        trie = config.trie
+        self.trie = trie
+        # The trie's label -> code map; a label it lacks codes as UNKNOWN.
+        self._code = trie.alphabet._code_of.get
         self.policy = config.decay
-        self._avg = config.trie.avg_leaf_depth
-        self._cap = config.trie.max_branching + 1
-        # Every case's largest issued decay (see decay_time).
+        self._cap = trie.max_branching + 1
+        # decay_time by event index, up to the last index above the floor
+        # (min_dt); every later index gets the floor. Index 0, every case's
+        # largest issued decay, is its root's.
         try:
-            self._root_decay = decay_time(self._avg, 0, self.policy)
+            self._decays = [
+                decay_time(trie.avg_leaf_depth, i, self.policy)
+                for i in range(int(trie.avg_leaf_depth) + 1)
+            ]
         except OverflowError:
             raise ValueError(
                 f"df {self.policy.df:g} is too large: the decay time on this trie is infinite"
             ) from None
+        self._root_decay = self._decays[0]
+        # The admission cap's bound on a case's stored states.
+        self._case_cap = self._cap * self._root_decay
         # A stored suffix is never longer than its state is old, and no state
         # outlives its case's root decay, so only a root decay past the
         # trie's depth lets a suffix outgrow it.
-        self._long_suffixes = self._root_decay > config.trie.depth
+        self._long_suffixes = self._root_decay > trie.depth
+        # No stored suffix outgrows the depth, so past this many codes a
+        # case can drop at least depth + 2 of them.
+        self._codes_kept = 2 * (trie.depth + 1)
         # The sync move of every code some node carries; any other code
         # (UNKNOWN among them) has no sync successor.
-        self._sync = {code: MOVES[code, code] for code in set(config.trie.labels[1:])}
+        self._sync = {code: MOVES[code, code] for code in set(trie.labels[1:])}
         self._buffer: dict[str, _CaseEntry] = {}
         self._total_states = 0
         self.peak_total_states = 0
@@ -452,7 +509,7 @@ class Engine:
         no timing: :class:`~trie_align.stream.EngineSink` times the call.
         """
         if isinstance(activity, str):
-            code = self._code(activity)
+            code = self._code(activity, UNKNOWN)
         else:
             code = activity if 0 <= activity < len(self.trie.alphabet) else UNKNOWN
 
@@ -461,20 +518,21 @@ class Engine:
             entry = _CaseEntry()
             self._buffer[case_id] = entry
             # One extra event of life: the ageing below takes it back.
-            entry.states.append(State(0, ROOT, [], 0, self._root_decay + 1))
+            entry.states.append(State(0, ROOT, 0, entry.codes, 0, self._root_decay + 1))
             entry.next_state_id = 1
             self._total_states += 1
 
-        entry.events_seen += 1
-        fresh_decay = decay_time(self._avg, entry.events_seen, self.policy)
+        codes = entry.codes
+        # The codes before this event; a state whose suffix is empty starts
+        # at n, and the states this event creates start at n + 1.
+        n = len(codes)
+        seen = entry.offset + n + 1
+        decays = self._decays
+        fresh_decay = decays[seen] if seen < len(decays) else self.policy.min_dt
 
-        # Age: decrement first, evict below one.
+        # Age: the states that outlive this event survive.
         states = entry.states
-        survivors: list[State] = []
-        for s in states:
-            s.decay -= 1
-            if s.decay >= 1:
-                survivors.append(s)
+        survivors = [s for s in states if s.expires > n + 1]
         if survivors:
             generation = survivors
         else:
@@ -489,8 +547,8 @@ class Engine:
             children = self.trie.children
             sync_moves = (sync,)
             for s in generation:
-                if s.suffix:
-                    continue
+                if s.at != n:
+                    continue  # events are pending
                 off = children[s.node].get(code)
                 if off is not None:
                     new_states.append(_successor(s, s.node + off, sync_moves, 0, fresh_decay))
@@ -505,15 +563,15 @@ class Engine:
             # minimum starts at the cheapest log move's cost, which the final
             # minimum never exceeds, so nothing dearer is built or searched
             # for: the search gets the running minimum as its bound.
-            min_cost = min(s.cost + len(s.suffix) for s in generation) + 1
+            min_cost = min(s.cost - s.at for s in generation) + n + 1
             per_node: dict[int, State] = {}
             for s in generation:
-                log_cost = s.cost + len(s.suffix) + 1
+                log_cost = s.cost + n + 1 - s.at
                 cands = expand_model_moves(self.trie, s, code, fresh_decay, min_cost)
                 # The log move is built only when it can be admitted, and
                 # ranks before this state's model moves.
                 if log_cost <= min_cost:
-                    moves = [MOVES[x, None] for x in s.suffix]
+                    moves = [MOVES[x, None] for x in codes[s.at :]]
                     moves.append(MOVES[code, None])
                     cands.insert(0, _successor(s, s.node, moves, len(moves), fresh_decay))
                 for cand in cands:
@@ -531,15 +589,14 @@ class Engine:
         # past the branching budget, or past what keeps the case under
         # (max_branching + 1) x its root decay overall. The cheapest
         # successors survive, so the best cost is unchanged.
-        cap = self._cap
-        limit = min(cap, cap * self._root_decay - len(survivors))
+        limit = min(self._cap, self._case_cap - len(survivors))
         if len(new_states) > limit:
             new_states.sort(key=lambda s: (s.cost, s.moves_len))  # stable: keeps generation order
             del new_states[limit:]
 
-        for s in survivors:
-            s.suffix.append(code)
-        if self._long_suffixes and entry.events_seen > self.trie.depth:
+        # Every survivor's suffix takes the event; the new states' stay empty.
+        codes.append(code)
+        if self._long_suffixes and seen > self.trie.depth:
             _commit_unmatchable(self.trie, survivors)
 
         for s in new_states:
@@ -549,13 +606,23 @@ class Engine:
         survivors.extend(new_states)
         entry.states = survivors
 
+        if len(codes) > self._codes_kept:
+            # Drop the codes no stored state has pending.
+            drop = min(s.at for s in survivors)
+            if drop:
+                del codes[:drop]
+                entry.offset += drop
+                for s in survivors:
+                    s.at -= drop
+                    s.expires -= drop
+
         self._total_states += len(survivors) - len(states)
         if self._total_states > self.peak_total_states:
             self.peak_total_states = self._total_states
         if len(survivors) > entry.peak_states:
             entry.peak_states = len(survivors)
 
-        return ProcessResult(synced, tuple(new_states), min(s.cost for s in new_states))
+        return ProcessResult(synced, tuple(new_states), min(map(_cost, new_states)))
 
     # -- queries -----------------------------------------------------------
 
@@ -591,7 +658,7 @@ class Engine:
     def case_stats(self, case_id: str) -> CaseStats:
         entry = self._entry(case_id)
         return CaseStats(
-            events_seen=entry.events_seen,
+            events_seen=entry.offset + len(entry.codes),
             states=len(entry.states),
             peak_states=entry.peak_states,
             max_decay_issued=self._root_decay,

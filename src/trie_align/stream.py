@@ -41,6 +41,7 @@ import threading
 import time
 from collections import deque
 from functools import partial
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .engine import Engine, ProcessResult
@@ -344,7 +345,13 @@ def replay(
     ``wall_micros``.
     """
     if interleave == BY_TIMESTAMP:
-        events = sorted(events, key=lambda ev: (ev.timestamp is None, ev.timestamp or ""))
+        # The timestamped events sorted, then the rest: no key tuple per event.
+        events = list(events)
+        ordered = [ev for ev in events if ev.timestamp is not None]
+        ordered.sort(key=attrgetter("timestamp"))
+        if len(ordered) < len(events):
+            ordered += [ev for ev in events if ev.timestamp is None]
+        events = ordered
     elif interleave is not None:
         raise ValueError(f"unknown interleave mode {interleave!r}")
     if rate is not None and not rate > 0:

@@ -99,13 +99,17 @@ class State(engine.State):
         decay: int = 1,
         state_id: int = 0,
     ) -> "State":
-        """Build a standalone state whose alignment is ``moves``."""
+        """Build a standalone state whose alignment is ``moves``.
+
+        Its case's codes are ``suffix``, all pending.
+        """
         link = None
         count = 0
         for x, y in moves:
             link = (link, MOVES[x, y])
             count += 1
-        return cls(state_id, node, list(suffix), cost, decay, link, count)
+        codes = list(suffix)
+        return cls(state_id, node, cost, codes, 0, len(codes) + decay, link, count)
 
 
 def child(trie: Trie, node: int, code: int) -> int | None:

@@ -451,6 +451,44 @@ class TestPinnedOutcomes:
             digest.update(repr(outcome).encode())
         assert digest.hexdigest() == self.DIGESTS[trie_name, policy_name]
 
+    # SHA-256 over every stored state of the event's case after every event
+    # of the same streams: survivors as well as new states, so a change to
+    # ageing, suffix buffering or the commit of unmatchable events shows.
+    STORED_DIGESTS = {
+        ("workflow", "default"): (
+            "55b6a8a034410b21c0bc705b1e8bfa136c0626d600159fe8766156aa0aa8983f"
+        ),
+        ("workflow", "fixed1"): (
+            "689e3ee1de108b92367d65e1f15d2de0a66e2fbf7e448cc292173bd82e627292"
+        ),
+        ("workflow", "discounted5"): (
+            "f8c7635f187e218fe73c034ebb818fe63becee6f5cf101f5b4ff80b3bbd85fd5"
+        ),
+        ("random", "default"): (
+            "786a6e9ab0717065483be47e423ed6bda46aa2ed81cc20191e5d9653b807c8e9"
+        ),
+        ("random", "fixed1"): (
+            "330187e4a15ad27329f5a482ae2ceebb4767217554309aa713d63f9607742235"
+        ),
+        ("random", "discounted5"): (
+            "1e54bb18d1831ef3d1aa1ea1fb6147dacb56eed1621e856913039e24c3a2a7fa"
+        ),
+    }
+
+    @pytest.mark.parametrize("trie_name, policy_name", sorted(STORED_DIGESTS))
+    def test_every_stored_state_is_pinned(self, workflow_trie, trie_name, policy_name):
+        trie = workflow_trie if trie_name == "workflow" else seeded_random_trie()
+        engine = Engine(EngineConfig(trie=trie, decay=POLICIES[policy_name]))
+        digest = hashlib.sha256()
+        for event in simulate_stream(trie, 0.3, seed=7, max_events=2000, duration=None):
+            engine.process(event.case_id, event.activity)
+            stored = [
+                (s.state_id, s.node, s.cost, s.decay, tuple(s.suffix), s.moves_len)
+                for s in engine.states(event.case_id)
+            ]
+            digest.update(repr(stored).encode())
+        assert digest.hexdigest() == self.STORED_DIGESTS[trie_name, policy_name]
+
 
 class TestEngineKeepsNoClock:
     def test_result_has_no_timing(self):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import pickle
 from pathlib import Path
 
 import pytest
@@ -172,6 +173,26 @@ class TestDomainTypes:
             Event(case_id="", activity="a")
         with pytest.raises(ParseError, match="line 2: empty case id"):
             parse_event_log("case,activity\n,a\n")
+
+    def test_event_is_an_immutable_value(self):
+        event = Event("1", "a", "15:00")
+        for field in ("case_id", "activity", "timestamp"):
+            with pytest.raises(AttributeError):
+                setattr(event, field, "x")
+        with pytest.raises(AttributeError):
+            event.extra = 1
+        same = Event("1", "a", "15:00")
+        assert same == event and hash(same) == hash(event)
+        assert Event("1", "a") != event
+        assert event == ("1", "a", "15:00")
+        assert Event("1", "a").timestamp is None
+
+    def test_event_repr_and_pickle(self):
+        event = Event("1", "a", "15:00")
+        assert repr(event) == "Event(case_id='1', activity='a', timestamp='15:00')"
+        assert repr(Event("1", "a")) == "Event(case_id='1', activity='a', timestamp=None)"
+        copy = pickle.loads(pickle.dumps(event))
+        assert copy == event and type(copy) is Event
 
     def test_event_json_line_is_the_wire_frame(self):
         # The bytes every wire client has sent: ``ts`` only when set.

@@ -7,7 +7,8 @@ child-offset maps (111 B); an alignment link holding a move tuple of its
 own (196 B per event) against a ``(prev, move)`` pair pointing at a
 shared move (138 B); and a parsed log with two new strings per row
 (280 B per row) against one shared string per distinct case id and
-label (177 B). Other interpreters size objects differently.
+label (177 B), and frozen-dataclass events (177 B) against named-tuple
+ones (153 B). Other interpreters size objects differently.
 """
 
 from __future__ import annotations
@@ -30,9 +31,12 @@ from trie_align import (
 )
 from trie_align.cli import simulate_stream
 
+from .conftest import WORKFLOW_TRACES
+from .test_engine import POLICIES
+
 TRIE_BYTES_PER_NODE = 200
 ENGINE_BYTES_PER_EVENT = 170
-PARSED_BYTES_PER_ROW = 230
+PARSED_BYTES_PER_ROW = 165
 
 
 def traced(build):
@@ -89,3 +93,22 @@ def test_parsed_log_bytes_per_row(trie_and_bytes):
     assert len(parsed) == 20_000
     assert len({e.case_id for e in parsed}) == 1619
     assert used / len(parsed) < PARSED_BYTES_PER_ROW
+
+
+@pytest.mark.parametrize("policy_name", sorted(POLICIES))
+def test_a_long_case_holds_a_few_codes(workflow_trie, policy_name):
+    # 20,000 events of one case: whole model traces between bursts of noise.
+    rng = random.Random(5)
+    activities: list[str] = []
+    while len(activities) < 20_000:
+        if rng.random() < 0.3:
+            activities += rng.choices("abcdexy", k=rng.randrange(1, 4))
+        else:
+            activities += rng.choice(WORKFLOW_TRACES)
+    engine = Engine(EngineConfig(trie=workflow_trie, decay=POLICIES[policy_name]))
+    held = 0
+    for activity in activities:
+        engine.process("c", activity)
+        held = max(held, len(engine._buffer["c"].codes))
+    assert engine.case_stats("c").events_seen == len(activities)
+    assert held <= 2 * (workflow_trie.depth + 1)

@@ -9,6 +9,8 @@ import time
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trie_align.stream as stream_mod
 
@@ -218,6 +220,25 @@ class TestInterleaving:
 
     def test_empty_log(self):
         assert delivered([]) == delivered([], "by-timestamp") == []
+
+    @given(
+        st.lists(
+            st.builds(
+                Event,
+                st.sampled_from(["1", "2", "3"]),
+                st.sampled_from(["a", "b"]),
+                st.sampled_from([None, "", "2022-08-01 15:00", "2022-08-01 15:06", "15:03"]),
+            ),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_by_timestamp_is_the_stable_two_part_key_sort(self, events):
+        # The reference order: one key tuple per event, untimestamped last.
+        expected = sorted(events, key=lambda ev: (ev.timestamp is None, ev.timestamp or ""))
+        got = delivered(events, "by-timestamp")
+        assert [id(ev) for ev in got] == [id(ev) for ev in expected]
+        assert delivered(iter(events), "by-timestamp") == expected
 
     @pytest.mark.parametrize("interleave", [None, "by-timestamp"])
     def test_replays_the_parsed_events_themselves(self, interleave):
