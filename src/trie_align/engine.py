@@ -37,9 +37,14 @@ arriving event:
    soon as nothing it can still find would be admitted, so the outcome
    is the same as with unbounded searches.
 
-Either step admits at most ``max_branching + 1`` new states per event,
-fewer when the case is near its bound; the cap truncates
-deterministically, cheapest first, then shortest alignment.
+All the states one event creates share one cost. The log/model step
+keeps only the candidates at the final minimum. The sync step's parents
+are the previous event's states, the only ones with an empty suffix, so
+by induction they share one cost: a new case starts from its root alone,
+and the decay rescue seeds from one state. Either step admits at most
+``max_branching + 1`` new states per event, fewer when the case is near
+its bound; the cap truncates deterministically, shortest alignment first,
+then in generation order.
 
 Three facts keep the buffer small: decay eviction bounds how many events
 a state survives, the cheapest-only admission keeps one cost frontier per
@@ -70,7 +75,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 from .alignment import MOVES, Move
@@ -217,8 +221,8 @@ class ProcessResult(NamedTuple):
     """Outcome of one processed event.
 
     ``sync`` tells whether a synchronous move consumed the event,
-    ``new_states`` holds the states the event created and ``best_cost`` is
-    the cheapest of their costs.
+    ``new_states`` holds the states the event created, at least one, and
+    ``best_cost`` is the one cost they all share.
     """
 
     sync: bool
@@ -340,9 +344,6 @@ def expand_model_moves(
     n = len(pending)
     matches: list[tuple[int, int]] = []
     if n > 1:
-        # Round i's start lies at most n - i + 1 levels down and its
-        # second-newest node n - i - 2 below that: at most 2n - 1 down.
-        top = base_level + 2 * n - 1
         # (round, start level) of the winners; with no start, round n - 1
         # leaves the newest event alone, costing only its drops.
         best = (n - 1, base_level + 1)
@@ -354,8 +355,6 @@ def expand_model_moves(
         prev_code = pending[-3] if narrow else None
         for node in trie.starts_at(state.node, pending[-2], code, prev_code):
             level = levels[node]
-            if level > top:
-                continue
             # Up the parents while they spell older pending events, staying
             # below the state's node: the earliest round i this node serves
             # and that round's start.
@@ -365,7 +364,8 @@ def expand_model_moves(
                 start = parents[start]
                 level -= 1
                 i -= 1
-            # Past what the bound affords in drops, or past the round's reach.
+            # Past what the bound affords in drops, or past the round's reach,
+            # as is every slice node more than 2n - 1 levels down.
             if i > slack or level - base_level - 1 > n - i:
                 continue
             key = (i, level)
@@ -446,14 +446,9 @@ def _commit_unmatchable(trie: Trie, states: list[State]) -> None:
 
 def _best(states: list[State]) -> State:
     # The latest event's states are exactly those with an empty suffix, and
-    # there is always one. A case's states are in creation order, so min()
-    # keeps the oldest on a tie.
-    return min(
-        (s for s in states if s.at == len(s._codes)), key=lambda s: (s.cost, s.moves_len, s.node)
-    )
-
-
-_cost = attrgetter("cost")
+    # there is always one. They share one cost, so the shortest alignment
+    # wins, then the smallest node.
+    return min((s for s in states if s.at == len(s._codes)), key=lambda s: (s.moves_len, s.node))
 
 
 class Engine:
@@ -587,11 +582,11 @@ class Engine:
 
         # Admission cap, on both steps: ties must not multiply lineages
         # past the branching budget, or past what keeps the case under
-        # (max_branching + 1) x its root decay overall. The cheapest
-        # successors survive, so the best cost is unchanged.
+        # (max_branching + 1) x its root decay overall. The new states share
+        # one cost, so the shortest alignments survive.
         limit = min(self._cap, self._case_cap - len(survivors))
         if len(new_states) > limit:
-            new_states.sort(key=lambda s: (s.cost, s.moves_len))  # stable: keeps generation order
+            new_states.sort(key=lambda s: s.moves_len)  # stable: keeps generation order
             del new_states[limit:]
 
         # Every survivor's suffix takes the event; the new states' stay empty.
@@ -607,14 +602,13 @@ class Engine:
         entry.states = survivors
 
         if len(codes) > self._codes_kept:
-            # Drop the codes no stored state has pending.
+            # Drop the codes no stored state has pending: at least depth + 2.
             drop = min(s.at for s in survivors)
-            if drop:
-                del codes[:drop]
-                entry.offset += drop
-                for s in survivors:
-                    s.at -= drop
-                    s.expires -= drop
+            del codes[:drop]
+            entry.offset += drop
+            for s in survivors:
+                s.at -= drop
+                s.expires -= drop
 
         self._total_states += len(survivors) - len(states)
         if self._total_states > self.peak_total_states:
@@ -622,7 +616,7 @@ class Engine:
         if len(survivors) > entry.peak_states:
             entry.peak_states = len(survivors)
 
-        return ProcessResult(synced, tuple(new_states), min(map(_cost, new_states)))
+        return ProcessResult(synced, tuple(new_states), new_states[0].cost)
 
     # -- queries -----------------------------------------------------------
 
@@ -638,10 +632,10 @@ class Engine:
         return entry
 
     def best_state(self, case_id: str) -> State:
-        """Cheapest state among those produced by the case's latest event.
+        """The best of the states the case's latest event produced.
 
-        These consumed every event; ties fall to the shorter alignment,
-        then the smaller node id.
+        These consumed every event and share one cost, so the shortest
+        alignment wins, then the smallest node id.
         """
         return _best(self._entry(case_id).states)
 

@@ -79,7 +79,11 @@ def test_readme_python_example_runs(tmp_path, monkeypatch, capsys):
     (tmp_path / "proxy.txt").write_text(WORKFLOW_PROXY_TEXT)
     monkeypatch.chdir(tmp_path)
     exec(compile(example, "README.md", "exec"), {})
-    assert "trace | a b x\nmodel | a b >>" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "trace | a b x\nmodel | a b >>" in out
+    # Its last line prints the engine's cost and the optimum.
+    cost, exact = map(int, out.splitlines()[-1].split())
+    assert cost >= exact
 
 
 class TestBuildTrie:

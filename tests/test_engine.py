@@ -518,6 +518,22 @@ class TestStatesCreated:
             assert engine.states_created == len(cases) + new_states
 
 
+class TestOneCostPerEvent:
+    @pytest.mark.parametrize("trie_name, policy_name", sorted(TestPinnedOutcomes.DIGESTS))
+    def test_the_states_one_event_creates_share_its_best_cost(
+        self, workflow_trie, trie_name, policy_name
+    ):
+        # The engine reports the first new state's cost as the event's best:
+        # sync and non-sync events alike, and under discounted5, whose
+        # states live long enough to commit unmatchable events.
+        trie = workflow_trie if trie_name == "workflow" else seeded_random_trie()
+        engine = Engine(EngineConfig(trie=trie, decay=POLICIES[policy_name]))
+        for event in simulate_stream(trie, 0.3, seed=7, max_events=2000, duration=None):
+            result = engine.process(event.case_id, event.activity)
+            assert result.new_states
+            assert {s.cost for s in result.new_states} == {result.best_cost}
+
+
 class TestSuffixBound:
     # Under a decay that never expires, survivors keep every event of their
     # case pending unless the engine commits the oldest as log moves.

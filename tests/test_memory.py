@@ -106,9 +106,13 @@ def test_a_long_case_holds_a_few_codes(workflow_trie, policy_name):
         else:
             activities += rng.choice(WORKFLOW_TRACES)
     engine = Engine(EngineConfig(trie=workflow_trie, decay=POLICIES[policy_name]))
-    held = 0
+    held = offset = 0
     for activity in activities:
         engine.process("c", activity)
-        held = max(held, len(engine._buffer["c"].codes))
+        entry = engine._buffer["c"]
+        held = max(held, len(entry.codes))
+        # No stored suffix outgrows the depth, so a drop is never empty.
+        step, offset = entry.offset - offset, entry.offset
+        assert step == 0 or step >= workflow_trie.depth + 2
     assert engine.case_stats("c").events_seen == len(activities)
     assert held <= 2 * (workflow_trie.depth + 1)

@@ -255,11 +255,11 @@ def test_engine_invariants_on_random_streams(proxy, trace, decay_mode):
         if walk(trie, observed) is not None:
             assert best.cost == 0
 
-        # Admission filter: all states created by one non-sync event share
-        # one cost; every new state costs at least its parent.
-        costs = {s.cost for s in result.new_states}
-        if not result.sync:
-            assert len(costs) == 1
+        # Admission filter: all states created by one event, sync or not,
+        # share one cost, the best cost; every new state costs at least its
+        # parent.
+        assert result.new_states
+        assert {s.cost for s in result.new_states} == {result.best_cost}
         for s in result.new_states:
             if s.parent_id in costs_before:
                 assert s.cost >= costs_before[s.parent_id]
