@@ -2,10 +2,11 @@
 and oracle comparison.
 
 Exit codes: 0 on success, 2 on input errors, 3 on connection errors. Every
-subcommand but ``serve`` prints a human-readable report by default and a
-single JSON document with ``--json``; ``serve`` has no ``--json`` and always
-prints its final report as one JSON line. Set ``TRIE_ALIGN_LOG`` to a
-logging level name (e.g. ``debug``) for verbose output.
+subcommand but ``serve`` builds one report: ``--json`` prints it as a single
+JSON document, and the default view prints the same report one top-level key
+per line, under the same names. ``serve`` has no ``--json`` and always prints
+its final report as one JSON line. Set ``TRIE_ALIGN_LOG`` to a logging level
+name (e.g. ``debug``) for verbose output.
 """
 
 from __future__ import annotations
@@ -64,12 +65,23 @@ def _add_decay_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--min-dt", type=int, default=3, help="minimum decay time (default 3)")
 
 
-def _emit(report: dict, as_json: bool, human_lines: list[str]) -> None:
+def _emit(report: dict, as_json: bool) -> None:
+    """Print ``report`` as one JSON document, or one line per top-level key.
+
+    The line view keeps the report's order: ``key: value`` for a scalar,
+    ``key: name=value ...`` for a dict, and one such line per row for a
+    list of dicts. Every value is written by ``json.dumps``.
+    """
     if as_json:
         print(json.dumps(report, indent=2))
-    else:
-        for line in human_lines:
-            print(line)
+        return
+    for key, value in report.items():
+        rows = [value] if isinstance(value, dict) else value
+        if isinstance(rows, list) and rows and all(isinstance(row, dict) for row in rows):
+            for row in rows:
+                print(f"{key}: " + " ".join(f"{name}={json.dumps(v)}" for name, v in row.items()))
+        else:
+            print(f"{key}: {json.dumps(value)}")
 
 
 # -- subcommands ------------------------------------------------------------
@@ -101,18 +113,7 @@ def cmd_build_trie(args: argparse.Namespace) -> int:
         "build_ms": round(build_ms, 3),
         "out": args.out,
     }
-    _emit(
-        report,
-        args.json,
-        [
-            f"trie written to {args.out}",
-            f"  node_count (incl. root): {trie.node_count}",
-            f"  end_count:               {trie.end_count}",
-            f"  avg_leaf_depth:          {trie.avg_leaf_depth:g}",
-            f"  max_branching:           {trie.max_branching}",
-            f"  build time:              {build_ms:.1f} ms",
-        ],
-    )
+    _emit(report, args.json)
     return EXIT_OK
 
 
@@ -206,19 +207,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         "mean_ms_per_trace": round(total_micros / 1000.0 / n, 4) if n else 0.0,
         "mean_ms_per_event": round(total_micros / 1000.0 / total_events, 4) if total_events else 0.0,
     }
-    report = {"per_trace": per_trace, "aggregate": aggregate}
-    lines = [
-        f"{r['case_id']}: prefix={r['prefix_cost']} complete={r['complete_cost']} events={r['events']}"
-        + (f" per_event={r['per_event_costs']}" if args.per_event else "")
-        for r in per_trace
-    ]
-    lines.append(
-        f"-- {aggregate['traces']} traces, {aggregate['events']} events | "
-        f"mean cost/trace {aggregate['mean_cost_per_trace']} | "
-        f"mean ms/trace {aggregate['mean_ms_per_trace']} | "
-        f"mean ms/event {aggregate['mean_ms_per_event']}"
-    )
-    _emit(report, args.json, lines)
+    _emit({"per_trace": per_trace, "aggregate": aggregate}, args.json)
     return EXIT_OK
 
 
@@ -263,31 +252,15 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         per_trace.append(row)
 
     report: dict = {"mode": args.mode, "per_trace": per_trace}
-    lines = [
-        f"{r['case_id']}: optimal={r['optimal_cost']}"
-        + (f" engine={r['engine_cost']} error={r['error']}" if "engine_cost" in r else "")
-        for r in per_trace
-    ]
     if engine_rows is not None:
-        ratio = (total_engine / total_opt) if total_opt else None
-        aggregate = {
+        report["aggregate"] = {
             "traces": len(per_trace),
             "total_optimal_cost": total_opt,
             "total_engine_cost": total_engine,
-            "cost_ratio": round(ratio, 4) if ratio is not None else None,
+            "cost_ratio": round(total_engine / total_opt, 4) if total_opt else None,
             "exact_matches": exact_matches,
         }
-        report["aggregate"] = aggregate
-        if ratio is None:
-            lines.append(
-                f"-- all costs zero; exact matches {exact_matches}/{len(per_trace)}"
-            )
-        else:
-            lines.append(
-                f"-- cost ratio (engine/optimal) {aggregate['cost_ratio']} | "
-                f"exact matches {exact_matches}/{len(per_trace)}"
-            )
-    _emit(report, args.json, lines)
+    _emit(report, args.json)
     return EXIT_OK
 
 
@@ -349,7 +322,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             sink.close()
         wall = (time.perf_counter() - started) * 1e6
         report = {"sent": sent, "wall_micros": round(wall, 1), "server": server_metrics}
-        _emit(report, args.json, [f"sent {sent} frames", f"server metrics: {server_metrics}"])
+        _emit(report, args.json)
         return EXIT_OK
 
     metrics = replay(events, EngineSink(engine), rate=args.rate)
@@ -363,18 +336,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "noise": args.noise,
         "seed": args.seed,
     }
-    _emit(
-        report,
-        args.json,
-        [
-            f"processed {report['events_processed']} events over {report['cases']} cases "
-            f"(noise {args.noise}, seed {args.seed})",
-            f"  mean case cost:    {report['mean_case_cost']}",
-            f"  mean event micros: {report['mean_event_micros']}",
-            f"  p50 event micros:  {report['p50_event_micros']}",
-            f"  max buffer states: {report['max_buffer_states']}",
-        ],
-    )
+    _emit(report, args.json)
     return EXIT_OK
 
 

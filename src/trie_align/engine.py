@@ -105,8 +105,9 @@ class DecayPolicy:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.df) and self.df >= 0):
             raise ValueError("df must be finite and >= 0")
-        if self.min_dt < 1:
-            raise ValueError("min_dt must be >= 1")
+        # A float would reach the admission cap as a slice index; a bool is not a count.
+        if type(self.min_dt) is not int or self.min_dt < 1:
+            raise ValueError("min_dt must be an int >= 1")
 
 
 def decay_time(avg_leaf_depth: float, i: int, policy: DecayPolicy) -> int:

@@ -421,14 +421,7 @@ class StreamServer:
     # -- lifecycle
 
     def start(self) -> None:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            sock.bind((self._host, self._port))
-            sock.listen(16)
-        except OSError:
-            sock.close()
-            raise
+        sock = socket.create_server((self._host, self._port), backlog=16)
         sock.setblocking(False)
         self._port = sock.getsockname()[1]
         self._wake = socket.socketpair()

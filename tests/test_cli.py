@@ -743,3 +743,113 @@ class TestCheckSimulateConsistency:
             engine.process(ev.case_id, ev.activity)
         for row in report["per_trace"]:
             assert engine.conformance_cost(row["case_id"]) == row["prefix_cost"]
+
+
+# Report fields that time a run: the only values two runs of one command may differ in.
+TIMING_FIELDS = {
+    "build_ms",
+    "micros",
+    "mean_ms_per_trace",
+    "mean_ms_per_event",
+    "computation_micros",
+    "idle_micros",
+    "wall_micros",
+    "mean_event_micros",
+    "p50_event_micros",
+    "max_event_micros",
+}
+
+
+def read_view(text: str) -> list[tuple[str, object]]:
+    """The default view's lines as (key, value); a ``name=value ...`` line reads as a dict."""
+    decoder = json.JSONDecoder()
+    lines: list[tuple[str, object]] = []
+    for line in text.splitlines():
+        key, rest = line.split(": ", 1)
+        if not re.match(r"\w+=", rest):
+            lines.append((key, json.loads(rest)))
+            continue
+        row, pos = {}, 0
+        while pos < len(rest):
+            eq = rest.index("=", pos)
+            row[rest[pos:eq]], end = decoder.raw_decode(rest, eq + 1)
+            pos = end + 1  # the space before the next field
+        lines.append((key, row))
+    return lines
+
+
+def report_lines(report: dict) -> list[tuple[str, object]]:
+    """The lines the default view must print for ``report``: one per key, one per trace row."""
+    return [
+        (key, row)
+        for key, value in report.items()
+        for row in (value if key == "per_trace" else [value])
+    ]
+
+
+def without_timings(lines: list[tuple[str, object]]) -> list[tuple[str, object]]:
+    return [
+        (key, {n: v for n, v in value.items() if n not in TIMING_FIELDS})
+        if isinstance(value, dict)
+        else (key, value)
+        for key, value in lines
+        if key not in TIMING_FIELDS
+    ]
+
+
+class TestDefaultView:
+    def test_emit_pins_each_kind_of_value(self, capsys):
+        report = {
+            "mode": "prefix",
+            "cost_ratio": None,
+            "per_trace": [
+                {"case_id": "order 17", "prefix_cost": 1, "per_event_costs": [0, 1]},
+                {"case_id": "2", "prefix_cost": 0, "per_event_costs": []},
+            ],
+            "rows": [],
+            "aggregate": {"traces": 2, "cost_ratio": None, "mean_cost_per_trace": 0.5},
+        }
+        cli_mod._emit(report, False)
+        assert capsys.readouterr().out.splitlines() == [
+            'mode: "prefix"',
+            "cost_ratio: null",
+            'per_trace: case_id="order 17" prefix_cost=1 per_event_costs=[0, 1]',
+            'per_trace: case_id="2" prefix_cost=0 per_event_costs=[]',
+            "rows: []",
+            "aggregate: traces=2 cost_ratio=null mean_cost_per_trace=0.5",
+        ]
+        cli_mod._emit(report, True)
+        assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            pytest.param(["build-trie", "--proxy-log", "{proxy}", "--out", "{out}"], id="build-trie"),
+            pytest.param(["check", "--trie", "{trie}", "--log", "{log}", "--per-event"], id="check"),
+            pytest.param(["oracle", "--trie", "{trie}", "--log", "{log}", "--compare"], id="oracle"),
+            pytest.param(
+                ["simulate", "--trie", "{trie}", "--noise", "0.1", "--seed", "1", "--max-events", "300"],
+                id="simulate",
+            ),
+        ],
+    )
+    def test_default_view_prints_the_json_report(self, trie_file, tmp_path, capsys, command):
+        log = tmp_path / "log.csv"
+        # c 2 carries a space in its id and an activity the model lacks.
+        log.write_text(CHECK_LOG + "c 2,a\nc 2,x\nc 2,e\n")
+        paths = {
+            "proxy": tmp_path / "proxy.txt",
+            "out": tmp_path / "rebuilt.trie",
+            "trie": trie_file,
+            "log": log,
+        }
+        argv = [arg.format(**paths) for arg in command]
+        assert main(argv) == 0
+        view = read_view(capsys.readouterr().out)
+        expected = report_lines(run_json(capsys, [*argv, "--json"]))
+
+        def names(lines):
+            return [(key, list(value) if isinstance(value, dict) else None) for key, value in lines]
+
+        assert names(view) == names(expected)
+        assert without_timings(view) == without_timings(expected)

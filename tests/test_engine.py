@@ -99,6 +99,10 @@ class TestDecayTime:
             DecayPolicy(df=-1.0)
         with pytest.raises(ValueError):
             DecayPolicy(df=float("nan"))
+        with pytest.raises(ValueError):
+            DecayPolicy(df=0, min_dt=2.5)
+        with pytest.raises(ValueError):
+            DecayPolicy(df=0, min_dt=True)
 
 
 class TestStateBufferEvolution:

@@ -11,6 +11,7 @@ from trie_align import (
     ActivityTable,
     Event,
     ParseError,
+    ProxyLog,
     parse_event_log,
     parse_proxy_log,
     serialize_event_log,
@@ -119,6 +120,11 @@ class TestParseProxyLog:
         with pytest.raises(ParseError, match="line 2"):
             parse_proxy_log("a,b\na,,b\n")
 
+    def test_empty_trace_rejected(self):
+        # parse_proxy_log skips blank lines, so only a direct ProxyLog holds an empty trace.
+        with pytest.raises(ValueError, match="proxy trace 1 is empty"):
+            ProxyLog((("a",), ()))
+
     def test_round_trip(self):
         proxy = parse_proxy_log("a,b\nc\n")
         assert parse_proxy_log(serialize_proxy_log(proxy)) == proxy
@@ -141,6 +147,12 @@ class TestActivityTable:
         assert table.label(code) == "a"
         assert table.code("a") == code
         assert table.code("zzz") == UNKNOWN
+
+    def test_empty_label_rejected(self):
+        table = ActivityTable()
+        with pytest.raises(ValueError, match="empty activity label"):
+            table.intern("")
+        assert len(table) == 0
 
     def test_labels_in_code_order(self):
         table = ActivityTable(["x", "y"])

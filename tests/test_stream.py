@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import contextlib
 import json
+import logging
 import math
 import socket
+import struct
 import threading
 import time
 import types
@@ -524,6 +526,24 @@ class TestStreamServer:
         metrics = json.loads(send_lines(running_server.address, lines)[0])
         assert metrics["events_processed"] == 1
         assert metrics["frames_malformed"] == 1
+
+    def test_reset_connection_is_dropped_and_the_server_stays_up(self, running_server, caplog):
+        caplog.set_level(logging.DEBUG, logger="trie_align.stream")
+        reset = socket.create_connection(running_server.address, timeout=5.0)
+        with reset:
+            # An answered request proves the server holds the connection before the reset.
+            reset.sendall(b'{"cmd":"metrics"}\n')
+            reset.makefile().readline()
+            # Linger 0 makes close() send a reset instead of a FIN.
+            reset.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        deadline = time.monotonic() + 5.0
+        while not any("connection ended" in r.getMessage() for r in caplog.records):
+            assert time.monotonic() < deadline, "the server never read the reset"
+            time.sleep(0.01)
+        lines = [Event("c1", "a").to_json_line(), '{"cmd":"metrics"}']
+        metrics = json.loads(send_lines(running_server.address, lines)[0])
+        assert metrics["events_processed"] == 1
+        assert metrics["frames_malformed"] == 0
 
     def test_shutdown_flushes_final_report(self, workflow_trie):
         engine = Engine(EngineConfig(trie=workflow_trie))

@@ -136,6 +136,10 @@ class TestQueries:
         a = walk(workflow_trie, [table.code("a")])
         assert workflow_trie.path_match(a, [table.code("b")]) is None
 
+    def test_path_match_rejects_an_empty_sequence(self, workflow_trie):
+        with pytest.raises(ValueError, match="non-empty"):
+            workflow_trie.path_match(ROOT, [])
+
     def test_min_completion_path(self, workflow_trie):
         table = workflow_trie.alphabet
         abc = walk(workflow_trie, [table.code(x) for x in "abc"])
@@ -187,6 +191,10 @@ class TestSerialization:
         payload = serialize_trie(workflow_trie)
         with pytest.raises(TrieFormatError):
             load_trie(payload[: len(payload) // 2])
+
+    def test_non_object_payload_rejected(self):
+        with pytest.raises(TrieFormatError, match="not a JSON object"):
+            load_trie(b"[]")
 
     def test_version_mismatch_rejected(self, workflow_trie):
         doc = json.loads(serialize_trie(workflow_trie))
