@@ -16,9 +16,9 @@ alignment's model projection must finish at an end node
 (:func:`complete_alignment`).
 
 Moves are shared: :data:`MOVES` holds one :class:`Move` per distinct
-``(log, model)`` pair, made on first use, and the engine's
-alignment links and :func:`complete_alignment` point at those. A label
-reaches the engine as a code of its trie's table or as
+``(log, model)`` pair, made on first use, and the move entries of the
+engine's per-case link storage and :func:`complete_alignment` point at
+those. A label reaches the engine as a code of its trie's table or as
 :data:`~trie_align.events.UNKNOWN`, so the table stays as small as the
 alphabets in use.
 

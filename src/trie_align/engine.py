@@ -68,12 +68,16 @@ must be serialized. Scale out by partitioning the case-id space across
 engines sharing one immutable trie. Every activity the trie lacks codes
 as :data:`~trie_align.events.UNKNOWN`, so no label table grows, and
 alignments are chains of shared moves (see :mod:`trie_align.alignment`),
-so no move is stored twice.
+so no move is stored twice. A case keeps every link of its states in one
+int array of prev indices and one list of moves (see :class:`State`), so
+a move costs two entries and no object, and the garbage collector walks
+one list per case, not one object per link.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -137,19 +141,22 @@ class State:
     the case, so they hold for the states the case stores and for those
     an event has just returned, not for one evicted since.
 
-    The alignment is stored as a backward-linked chain of moves shared with
-    the parent state, so a successor costs one link per appended move. A
-    link is a pair ``(prev, move)``: the previous link (None before the
-    first move) and the move, the one shared instance of its
-    ``(log, model)`` pair (see :data:`~trie_align.alignment.MOVES`).
-    :meth:`moves` materializes the chain as the prefix alignment, a tuple
-    of those moves.
+    The alignment is a backward-linked chain of moves shared with the
+    parent state, kept in its case's link storage: link ``i`` is
+    ``prevs[i]``, the index of the link before it (-1 before the first
+    move), and ``moves[i]``, the one shared instance of its ``(log,
+    model)`` pair (see :data:`~trie_align.alignment.MOVES`). A state holds
+    both (as it holds the codes) and the index of its last link
+    (``_link``, -1 with no moves), so a successor costs one appended
+    entry per move and no object. :meth:`moves` materializes the chain as
+    the prefix alignment, a tuple of those moves.
     ``node`` indexes the trie's arrays; its children map holds offsets
     from it (see :mod:`trie_align.trie`).
     """
 
     __slots__ = (
-        "state_id", "node", "cost", "_codes", "at", "expires", "parent_id", "_link", "moves_len"
+        "state_id", "node", "cost", "_codes", "at", "expires", "parent_id",
+        "_prevs", "_moves", "_link", "moves_len",
     )
 
     def __init__(
@@ -160,7 +167,9 @@ class State:
         codes: list[int],
         at: int,
         expires: int,
-        link: tuple | None = None,
+        prevs: array,
+        moves: list[Move],
+        link: int = -1,
         moves_len: int = 0,
         parent_id: int = -1,
     ) -> None:
@@ -171,6 +180,8 @@ class State:
         self.at = at
         self.expires = expires
         self.parent_id = parent_id
+        self._prevs = prevs
+        self._moves = moves
         self._link = link
         self.moves_len = moves_len
 
@@ -185,12 +196,20 @@ class State:
         return self.expires - max(len(self._codes), self.at)
 
     def moves(self) -> tuple[Move, ...]:
-        out = []
-        link = self._link
-        while link is not None:
-            link, move = link
-            out.append(move)
-        out.reverse()
+        prevs = self._prevs
+        moves = self._moves
+        i = self._link
+        left = self.moves_len
+        tail = []
+        # Indices strictly fall along a chain, so once only i + 1 links are
+        # left, they are links 0 to i: one slice of the storage.
+        while i >= left:
+            tail.append(moves[i])
+            i = prevs[i]
+            left -= 1
+        out = moves[: i + 1]
+        tail.reverse()
+        out += tail
         return tuple(out)
 
     def __repr__(self) -> str:
@@ -233,12 +252,16 @@ class ProcessResult(NamedTuple):
 
 class _CaseEntry:
     # ``codes`` holds the case's latest event codes; ``offset`` counts the
-    # events before the first of them.
-    __slots__ = ("states", "codes", "offset", "next_state_id", "peak_states")
+    # events before the first of them. ``prevs`` and ``moves`` are the
+    # alignment links of every state the case made (see :class:`State`),
+    # appended and never rewritten: a link no live state reaches stays.
+    __slots__ = ("states", "codes", "offset", "next_state_id", "peak_states", "prevs", "moves")
 
     def __init__(self) -> None:
         self.states: list[State] = []
         self.codes: list[int] = []
+        self.prevs = array("q")
+        self.moves: list[Move] = []
         self.offset = 0
         self.next_state_id = 0
         self.peak_states = 0
@@ -251,14 +274,20 @@ def _successor(parent: State, node: int, moves: Sequence[Move], cost: int, decay
     processed, one past the case's codes, so its suffix is empty; it lives
     ``decay`` more events, and its id is assigned on admission.
     """
+    prevs = parent._prevs
+    links = parent._moves
     link = parent._link
     for move in moves:
-        link = (link, move)
+        prevs.append(link)
+        link = len(links)
+        links.append(move)
     codes = parent._codes
     at = len(codes) + 1
     moves_len = parent.moves_len + len(moves)
     cost += parent.cost
-    return State(-1, node, cost, codes, at, at + decay, link, moves_len, parent.state_id)
+    return State(
+        -1, node, cost, codes, at, at + decay, prevs, links, link, moves_len, parent.state_id
+    )
 
 
 def expand_model_moves(
@@ -436,9 +465,13 @@ def _commit_unmatchable(trie: Trie, states: list[State]) -> None:
         pending = len(codes) - s.at
         if pending > depth:
             cut = pending - max(depth - trie.levels[s.node] - 1, 1)
+            prevs = s._prevs
+            links = s._moves
             link = s._link
             for x in codes[s.at : s.at + cut]:
-                link = (link, MOVES[x, None])
+                prevs.append(link)
+                link = len(links)
+                links.append(MOVES[x, None])
             s._link = link
             s.cost += cut
             s.moves_len += cut
@@ -514,7 +547,9 @@ class Engine:
             entry = _CaseEntry()
             self._buffer[case_id] = entry
             # One extra event of life: the ageing below takes it back.
-            entry.states.append(State(0, ROOT, 0, entry.codes, 0, self._root_decay + 1))
+            entry.states.append(
+                State(0, ROOT, 0, entry.codes, 0, self._root_decay + 1, entry.prevs, entry.moves)
+            )
             entry.next_state_id = 1
             self._total_states += 1
 
@@ -540,14 +575,25 @@ class Engine:
         new_states: list[State] = []
         sync = self._sync.get(code)
         if sync is not None:
+            # _successor with one sync move, inlined: this is the path of
+            # every conforming event.
             children = self.trie.children
-            sync_moves = (sync,)
+            prevs = entry.prevs
+            links = entry.moves
+            at = n + 1
+            expires = at + fresh_decay
             for s in generation:
                 if s.at != n:
                     continue  # events are pending
                 off = children[s.node].get(code)
                 if off is not None:
-                    new_states.append(_successor(s, s.node + off, sync_moves, 0, fresh_decay))
+                    prevs.append(s._link)
+                    link = len(links)
+                    links.append(sync)
+                    new_states.append(State(
+                        -1, s.node + off, s.cost, codes, at, expires, prevs, links, link,
+                        s.moves_len + 1, s.state_id,
+                    ))
 
         synced = bool(new_states)
         if not synced:

@@ -11,6 +11,7 @@ double-check the DP oracle on tiny instances. :func:`child` and
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, Sequence
 
 from trie_align import Move, Trie, engine
@@ -103,13 +104,11 @@ class State(engine.State):
 
         Its case's codes are ``suffix``, all pending.
         """
-        link = None
-        count = 0
-        for x, y in moves:
-            link = (link, MOVES[x, y])
-            count += 1
+        links = [MOVES[x, y] for x, y in moves]
+        prevs = array("q", range(-1, len(links) - 1))
         codes = list(suffix)
-        return cls(state_id, node, cost, codes, 0, len(codes) + decay, link, count)
+        expires = len(codes) + decay
+        return cls(state_id, node, cost, codes, 0, expires, prevs, links, len(links) - 1, len(links))
 
 
 def child(trie: Trie, node: int, code: int) -> int | None:

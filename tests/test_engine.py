@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 import time
+from array import array
 
 import pytest
 
@@ -584,8 +585,11 @@ class TestSuffixBound:
 class TestAlignmentLinks:
     @pytest.mark.parametrize("policy_name", sorted(POLICIES))
     def test_every_link_points_at_a_shared_move(self, workflow_trie, policy_name, monkeypatch):
-        # A link is (prev, move) with move the move table's own instance,
-        # and a chain is as long as its state's moves_len: after every
+        # A link is an index into its case's storage: prevs[i] is the link
+        # before it, always below i (-1 before the first move), and
+        # moves[i] the move table's own instance. A chain is as long as its
+        # state's moves_len, and moves() (which takes the chain's storage
+        # prefix as one slice) reads the full backward walk: after every
         # event, for every live state, committed log moves included. The
         # moves complete_alignment appends are the table's too.
         commits = []
@@ -604,15 +608,24 @@ class TestAlignmentLinks:
             engine = Engine(EngineConfig(trie=trie, decay=POLICIES[policy_name]))
             for event in simulate_stream(trie, 0.3, seed=5, max_events=1500, duration=None):
                 engine.process(event.case_id, event.activity)
+                entry = engine._buffer[event.case_id]
+                assert type(entry.prevs) is array and entry.prevs.typecode == "q"
+                assert len(entry.prevs) == len(entry.moves)
                 for state in engine.states(event.case_id):
-                    length = 0
+                    assert state._prevs is entry.prevs and state._moves is entry.moves
+                    walked = []
                     link = state._link
-                    while link is not None:
-                        assert type(link) is tuple and len(link) == 2
-                        link, move = link
+                    while link != -1:
+                        assert 0 <= link < len(entry.prevs)
+                        prev = entry.prevs[link]
+                        assert -1 <= prev < link
+                        walked.append(entry.moves[link])
+                        link = prev
+                    walked.reverse()
+                    assert len(walked) == state.moves_len
+                    assert state.moves() == tuple(walked)
+                    for move in walked:
                         assert_shared(move)
-                        length += 1
-                    assert length == state.moves_len
                 best = engine.best_state(event.case_id)
                 completed = complete_alignment(best, trie)
                 assert len(completed) == best.moves_len + trie.min_to_end[best.node]
