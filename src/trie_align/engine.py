@@ -23,13 +23,16 @@ arriving event:
    every match, after any drops of the oldest, ends in the newest two, so
    one slice of the trie's pair index per search gives the only nodes
    worth probing: those below that carry the second-newest event and have
-   a child carrying the newest. Their parent links tell which drop round
-   each one serves and where its match starts. When the bound leaves no
-   room for the round that keeps only those two, the slice keeps just the
-   nodes whose parent carries the third-newest event, and the one direct
-   child that round can still afford is looked up on its own. A single
-   pending event is looked up among the node's children and grandchildren
-   (see :func:`expand_model_moves`).
+   a child carrying the newest. The search makes that probe first. Its
+   nodes' parent links tell which drop round each one serves and where
+   its match starts. When the bound leaves no room for the round that
+   keeps only those two, the slice keeps just the nodes whose parent
+   carries the third-newest event, and the one direct child that round
+   can still afford is looked up on its own. A search whose probe finds
+   nothing goes straight to the last round: the newest event alone, looked
+   up among the node's children and grandchildren, as a single pending
+   event is. Only a search with a match builds its moves (see
+   :func:`expand_model_moves`).
    Candidates are admitted against a running cost minimum; only those
    matching the final minimum are kept, with at most one state per trie
    node. The minimum starts at the cheapest log move's cost, which the
@@ -347,50 +350,60 @@ def expand_model_moves(
     (:meth:`Trie.starts_at` with ``prev_code``), and the direct child
     labeled ``pending[-2]`` that has a child labeled ``code`` is looked up
     after them, when no earlier round was found. The winners and their
-    order are the full probe's.
+    order are the full probe's. Either probe takes nodes by their
+    parent's code, so a trie holds only codes below
+    :data:`~trie_align.trie.CODE_LIMIT` on nodes with children.
+
+    The search reads the pending events as indices into the case's codes
+    and copies none up front. It makes its one probe before it builds
+    anything; when the probe serves no round before ``n - 1``, as when it
+    returns no node, the search goes straight to round ``n - 1``'s
+    one-event lookup, unless the narrow probe's direct child wins. The
+    dropped, pending and move lists are built only for a search with a
+    match, so a search that finds nothing costs the probe and the lookup
+    and appends nothing to its case's links.
     """
-    labels = trie.labels
     levels = trie.levels
-    parents = trie.parents
     children = trie.children
-    base_level = levels[state.node]
-    depth = trie.depth
-
-    pending = state.suffix
-    pending.append(code)
-    dropped: list[int] = []
-    # A match spells all of pending downward from base_level + 1, so only
-    # the newest depth - base_level events can be part of one.
-    if len(pending) > depth - base_level:
-        cut = len(pending) - max(depth - base_level, 1)
-        dropped = pending[:cut]
-        del pending[:cut]
-
+    here = state.node
+    base_level = levels[here]
+    # The pending events are codes[at:] and then code, which would sit at
+    # index last. A match spells all of them downward from base_level + 1,
+    # so only the newest max(depth - base_level, 1) can be part of one:
+    # those from index first on, after first - at drops up front.
+    codes = state._codes
+    at = state.at
+    last = len(codes)
+    reach = trie.depth - base_level
+    n = last + 1 - at
+    if n > reach:
+        n = reach if reach > 1 else 1
+    first = last + 1 - n
     # What the bound leaves for further drops and model moves: a match d
     # levels down costs d - 1.
-    slack = bound - state.cost - len(dropped)
+    slack = bound - state.cost - (first - at)
     if slack < 0:
         return []
-    n = len(pending)
-    matches: list[tuple[int, int]] = []
     if n > 1:
+        # With this little slack, round n - 2 affords no model move: the
+        # probe keeps the nodes whose parent carries the third-newest event,
+        # and the direct child is looked up on its own (see the docstring).
+        narrow = n > 2 and slack <= n - 2
+        found = trie.starts_at(here, codes[-1], code, codes[-2] if narrow else None)
         # (round, start level) of the winners; with no start, round n - 1
         # leaves the newest event alone, costing only its drops.
         best = (n - 1, base_level + 1)
         starts: list[int] = []
-        # With this little slack, round n - 2 affords no model move: the
-        # probe keeps the nodes whose parent carries pending[-3], and the
-        # direct child is looked up after the loop (see the docstring).
-        narrow = n > 2 and slack <= n - 2
-        prev_code = pending[-3] if narrow else None
-        for node in trie.starts_at(state.node, pending[-2], code, prev_code):
+        labels = trie.labels
+        parents = trie.parents
+        for node in found:
             level = levels[node]
             # Up the parents while they spell older pending events, staying
             # below the state's node: the earliest round i this node serves
             # and that round's start.
             start = node
             i = n - 2
-            while i and level > base_level + 1 and labels[parents[start]] == pending[i - 1]:
+            while i and level > base_level + 1 and labels[parents[start]] == codes[first + i - 1]:
                 start = parents[start]
                 level -= 1
                 i -= 1
@@ -405,35 +418,56 @@ def expand_model_moves(
             elif key == best:
                 starts.append(start)
         if narrow and slack == n - 2 and best > (n - 2, base_level + 1):
-            here = state.node
-            off = children[here].get(pending[-2])
+            off = children[here].get(codes[-1])
             if off is not None and code in children[here + off]:
                 best = (n - 2, base_level + 1)
                 starts = [here + off]
-        i, level = best
-        dropped += pending[:i]
-        del pending[:i]
-        slack -= i
-        if level - base_level - 1 > slack:
-            return []
-        matches = [(start, trie.path_match(start, pending)) for start in starts]
+        if starts:
+            i, level = best
+            if level - base_level - 1 > slack - i:
+                return []
+            kept = first + i
+            pending = codes[kept:]
+            pending.append(code)
+            matches = [(start, trie.path_match(start, pending)) for start in starts]
+            return _model_successors(trie, state, codes[at:kept], pending, matches, decay)
+    # No earlier round matches: the newest event alone, after dropping every
+    # older one. A one-event path is its own start node: a child of the
+    # state's node or, failing that, a grandchild.
+    slack = bound - state.cost - (last - at)
+    if slack < 0:
+        return []
+    matches = []
+    off = children[here].get(code)
+    if off is not None:
+        matches.append((here + off, here + off))
+    elif slack >= 1:
+        for kid_off in children[here].values():
+            kid = here + kid_off
+            off = children[kid].get(code)
+            if off is not None:
+                matches.append((kid + off, kid + off))
     if not matches:
-        # A one-event path is its own start node: a child of the state's
-        # node or, failing that, a grandchild.
-        (only,) = pending
-        here = state.node
-        off = children[here].get(only)
-        if off is not None:
-            matches.append((here + off, here + off))
-        elif slack >= 1:
-            for kid_off in children[here].values():
-                kid = here + kid_off
-                off = children[kid].get(only)
-                if off is not None:
-                    matches.append((kid + off, kid + off))
-        if not matches:
-            return []  # no model move exists
+        return []  # no model move exists
+    return _model_successors(trie, state, codes[at:], [code], matches, decay)
 
+
+def _model_successors(
+    trie: Trie,
+    state: State,
+    dropped: list[int],
+    pending: list[int],
+    matches: list[tuple[int, int]],
+    decay: int,
+) -> list[State]:
+    """One successor of ``state`` per ``(start, terminal)`` match.
+
+    Its alignment reads: ``dropped`` as log moves, one model move per node
+    strictly between the state's node and the start, then ``pending`` as
+    synchronous moves. It costs the drops plus the model moves more.
+    """
+    labels = trie.labels
+    parents = trie.parents
     logs = [MOVES[x, None] for x in dropped]
     syncs = [MOVES[y, y] for y in pending]
     out = []

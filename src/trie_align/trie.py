@@ -33,14 +33,20 @@ a child labeled ``next_code``: one entry per trie edge below the root.
 So the nodes below a given node that a path ending in a given pair of
 labels passes through are one bisected slice of one bucket
 (:meth:`Trie.starts_at`), in preorder; within one level, preorder order
-is breadth-first order. ``up`` holds, by position, the label of the
-node's parent (:data:`ROOT_LABEL` for the root's children), so a slice
-can keep only the nodes whose parent carries a third label, a q-gram
-filter of three labels for a pair index. The model-move search takes one
-slice per search, for its newest two pending events, and filters it by
-the third-newest when its bound rules out the round that keeps only the
-two. The index is derived data: it is not serialized and
-:func:`load_trie` rebuilds it.
+is breadth-first order. ``parent_labels`` maps the same pairs to one
+string per bucket, aligned with it: character ``i`` is ``chr(label +
+1)`` of the parent of the node at ``bucket[i]`` (``chr(0)`` for the
+root, whose label is :data:`ROOT_LABEL`). So a slice can keep only the
+nodes whose parent carries a third label, a q-gram filter of three
+labels for a pair index, and ``str.find`` finds them at C speed. A node
+with a child must therefore have a code below :data:`CODE_LIMIT`, the
+last code point; the constructor raises :class:`TrieError` otherwise.
+The model-move search takes one slice per search, for its newest two
+pending events, and filters it by the third-newest when its bound rules
+out the round that keeps only the two. One preorder sweep builds the
+positions, the buckets and their strings, so every bucket comes out
+ascending and none is sorted. The index is derived data: it is not
+serialized and :func:`load_trie` rebuilds it.
 
 The structure is immutable after construction and safe to share across
 threads for read-only queries.
@@ -57,6 +63,9 @@ from .events import ActivityTable, ProxyLog
 
 ROOT = 0
 ROOT_LABEL = -1
+#: Node codes of nodes with children must lie below this: the search index
+#: stores each as the character ``chr(code + 1)``.
+CODE_LIMIT = 0x10FFFF
 
 _FORMAT_VERSION = 2
 
@@ -76,7 +85,8 @@ class Trie:
     the order they are created, and the last node of a path is an end node.
 
     Raises:
-        TrieError: if there are no paths.
+        TrieError: if there are no paths, or a node with a child has a code
+            the search index cannot hold (see :data:`CODE_LIMIT`).
     """
 
     __slots__ = (
@@ -93,9 +103,9 @@ class Trie:
         "max_branching",
         "pre",
         "by_pre",
-        "up",
         "size",
         "buckets",
+        "parent_labels",
         "depth",
     )
 
@@ -150,12 +160,10 @@ class Trie:
         # Remaining-path annotation, subtree sizes, leaf depths and the
         # widest fan-out in one sweep, children before parents (child id >
         # parent id). Leaf levels are ints, so their sum is exact in any
-        # order. ``offset`` is a child's preorder position relative to its
-        # parent's: it follows the parent and its elder siblings' subtrees.
+        # order.
         n = self.node_count
         min_to_end = [0] * n
         size = array("i", [1]) * n
-        offset = array("i", [1]) * n
         leaf_level_sum = leaves = max_branching = 0
         for nid in range(n - 1, -1, -1):
             kids = children[nid]
@@ -166,12 +174,7 @@ class Trie:
                 if not is_end[nid]:
                     min_to_end[nid] = min_to_end[kid] + 1
             elif kids:
-                at = 1
-                for off in kids.values():  # ascending code order
-                    kid = nid + off
-                    offset[kid] = at
-                    at += size[kid]
-                size[nid] = at
+                size[nid] = 1 + sum(size[nid + off] for off in kids.values())
                 if not is_end[nid]:
                     min_to_end[nid] = 1 + min(min_to_end[nid + off] for off in kids.values())
                 if len(kids) > max_branching:
@@ -185,33 +188,54 @@ class Trie:
         # Without a fork the trie is one chain, as wide as its root.
         self.max_branching = max_branching or len(children[ROOT])
 
-        # One sweep, parents before children: preorder positions, by
-        # position the node there and its parent's label, and the pair
-        # buckets. The root sits at position 0 and has no parent: its ``up``
-        # stays ROOT_LABEL, the label its children read from it. Every edge
-        # below the root adds its parent's position to the bucket of
-        # (parent label, child label); a node has one child per label, so a
-        # sorted bucket holds each position once.
+        # One preorder sweep below the root, down each chain and then to
+        # the pushed siblings: positions, the node at each, and the pair
+        # buckets. A node at position ``pos`` adds ``pos`` to the bucket of
+        # (its label, child label) for each child, and ``mark``, its
+        # parent's chr(label + 1), to that bucket's string; positions grow
+        # along the sweep, so every bucket comes out ascending. The root's
+        # children take chr(0).
         pre = array("i", [0]) * n
         by_pre = array("i", [ROOT]) * n
-        up = array("i", [ROOT_LABEL]) * n
-        pairs: dict[tuple[int, int], list[int]] = {}
-        for nid in range(1, n):
-            parent = parents[nid]
-            pos = pre[nid] = pre[parent] + offset[nid]
-            by_pre[pos] = nid
-            up[pos] = label = labels[parent]
-            if parent:
-                key = (label, labels[nid])
-                bucket = pairs.get(key)
-                if bucket is None:
-                    pairs[key] = [pre[parent]]
-                else:
-                    bucket.append(pre[parent])
+        buckets: dict[tuple[int, int], array] = {}
+        marks: dict[tuple[int, int], list[str]] = {}
+        todo = [(ROOT + off, "\0") for off in reversed(children[ROOT].values())]
+        pos = 1
+        while todo:
+            nid, mark = todo.pop()
+            while True:
+                pre[nid] = pos
+                by_pre[pos] = nid
+                kids = children[nid]
+                if not kids:
+                    pos += 1
+                    break
+                label = labels[nid]
+                for code in kids:
+                    key = (label, code)
+                    bucket = buckets.get(key)
+                    if bucket is None:
+                        buckets[key] = array("i", [pos])
+                        marks[key] = [mark]
+                    else:
+                        bucket.append(pos)
+                        marks[key].append(mark)
+                pos += 1
+                try:
+                    mark = chr(label + 1)
+                except ValueError:
+                    raise TrieError(
+                        f"cannot index node code {label}: a node with a child "
+                        f"needs a code below {CODE_LIMIT:#x}"
+                    ) from None
+                if len(kids) > 1:
+                    todo += [(nid + off, mark) for off in reversed(kids.values())]
+                    break
+                nid += kids[code]  # a chain: on to the only child
         self.pre = pre
         self.by_pre = by_pre
-        self.up = up
-        self.buckets = {key: array("i", sorted(entries)) for key, entries in pairs.items()}
+        self.buckets = buckets
+        self.parent_labels = {key: "".join(chars) for key, chars in marks.items()}
 
     # -- queries ---------------------------------------------------------
 
@@ -244,10 +268,11 @@ class Trie:
 
         Node ids in preorder, at every level below the node. Empty for a
         pair no edge carries, including any pair with the code of an
-        activity the trie lacks. The ``prev_code`` filter reads ``up`` at
-        each slice position; no parent carries a negative code
-        (:data:`ROOT_LABEL` or :data:`~trie_align.events.UNKNOWN`) or one
-        past the table.
+        activity the trie lacks. The ``prev_code`` filter finds the slice
+        positions whose ``parent_labels`` character is ``chr(prev_code +
+        1)`` with ``str.find``; no parent carries a negative code
+        (:data:`ROOT_LABEL` or :data:`~trie_align.events.UNKNOWN`), one
+        past the table or one of :data:`CODE_LIMIT` or more.
         """
         bucket = self.buckets.get((code, next_code))
         if bucket is None:
@@ -255,13 +280,21 @@ class Trie:
         start = self.pre[node_id]
         lo = bisect_left(bucket, start + 1)
         hi = bisect_left(bucket, start + self.size[node_id], lo)
+        if lo == hi:
+            return []
         by_pre = self.by_pre
         if prev_code is None:
             return list(map(by_pre.__getitem__, bucket[lo:hi]))
-        if prev_code < 0:
+        if not 0 <= prev_code < CODE_LIMIT:
             return []
-        up = self.up
-        return [by_pre[pos] for pos in bucket[lo:hi] if up[pos] == prev_code]
+        find = self.parent_labels[code, next_code].find
+        mark = chr(prev_code + 1)
+        out = []
+        i = find(mark, lo, hi)
+        while i >= 0:
+            out.append(by_pre[bucket[i]])
+            i = find(mark, i + 1, hi)
+        return out
 
     def min_completion_path(self, node_id: int) -> list[int]:
         """A shortest label path from ``node_id`` down to some end node.

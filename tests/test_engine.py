@@ -349,6 +349,78 @@ class TestModelMoves:
                     assert search_view(got) == [v for v in expected if v[1] <= bound]
         assert any(narrow)  # the narrow probe ran, and found nodes
 
+    @pytest.mark.parametrize("trie_name", list(NARROW_SPACE))
+    def test_a_search_whose_pair_slice_is_empty_builds_only_what_it_returns(
+        self, trie_name, request, monkeypatch
+    ):
+        # Every pending sequence of two to four codes whose pair slice, for
+        # the newest two events the up-front cut leaves, is empty: no round
+        # before the last can match, so the search looks up the newest event
+        # alone. Within every bound it must return the level walk's states,
+        # never call path_match, and append to its case's link columns only
+        # the moves of the states it returns.
+        if trie_name == "random":
+            trie = test_trie.random_trie()
+        else:
+            trie = request.getfixturevalue(f"{trie_name}_trie")
+        alphabet = range(len(trie.alphabet) + 1)  # the last code is in no node
+        matched = []
+        original = Trie.path_match
+
+        def counting_path_match(self, *args):
+            matched.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(Trie, "path_match", counting_path_match)
+        searched = 0
+        for node in range(trie.node_count):
+            reach = max(trie.depth - trie.levels[node], 1)
+            for k in range(2, 5):
+                for pending in itertools.product(alphabet, repeat=k):
+                    if min(k, reach) < 2 or trie.starts_at(node, pending[-2], pending[-1]):
+                        continue
+                    searched += 1
+                    state = State.make(node=node, moves=(), suffix=pending[:-1], decay=2)
+                    expected = search_view(reference_expand(trie, state, pending[-1], decay=2))
+                    # Bounds that leave nothing, the narrow probe (without
+                    # and with its direct child), the newest event's child
+                    # alone, and every grandchild too.
+                    for bound in (k - 3, k - 2, k - 1, engine_module.UNBOUNDED_COST):
+                        links = len(state._prevs)
+                        calls = len(matched)
+                        got = expand_model_moves(trie, state, pending[-1], decay=2, bound=bound)
+                        assert search_view(got) == [v for v in expected if v[1] <= bound]
+                        assert len(matched) == calls
+                        added = sum(s.moves_len for s in got)
+                        assert len(state._prevs) == len(state._moves) == links + added
+        assert searched > 1000
+
+    def test_search_on_wide_codes_is_the_level_walk(self, monkeypatch):
+        # Node codes whose index characters take every string width; every
+        # pending sequence of one to three codes from every node, within
+        # every bound, as on the narrow-probe tries above.
+        trie = test_trie.wide_trie()
+        alphabet = [*test_trie.WIDE_CODES, len(trie.alphabet)]  # the last is in no node
+        narrow = []
+        original = Trie.starts_at
+
+        def counting_starts_at(self, *args):
+            out = original(self, *args)
+            if args[3] is not None:
+                narrow.append(bool(out))
+            return out
+
+        monkeypatch.setattr(Trie, "starts_at", counting_starts_at)
+        for node in range(trie.node_count):
+            for k in range(1, 4):
+                for pending in itertools.product(alphabet, repeat=k):
+                    state = State.make(node=node, moves=(), suffix=pending[:-1], decay=2)
+                    expected = search_view(reference_expand(trie, state, pending[-1], decay=2))
+                    for bound in (*range(-1, k + 2), engine_module.UNBOUNDED_COST):
+                        got = expand_model_moves(trie, state, pending[-1], decay=2, bound=bound)
+                        assert search_view(got) == [v for v in expected if v[1] <= bound]
+        assert any(narrow)
+
     def test_search_bound_does_not_change_the_engine(self, workflow_trie, monkeypatch):
         # The engine bounds each search by its running cost minimum; an
         # unbounded search must leave every result and best state as is.

@@ -3,11 +3,16 @@
 Each ceiling sits between the figures of an older layout and the
 current one, measured on Python 3.11: a trie with one private child map
 of absolute ids per node (309 B per node here) against shared
-child-offset maps (111 B); an alignment link holding a move tuple of its
-own (196 B per event) against a ``(prev, move)`` pair pointing at a
-shared move (134 B, 1.70 GC-tracked objects per event), and that pair
-against one prev index in its case's ``array("q")`` and one move
-reference in its case's list (114 B, 0.69 tracked objects per event);
+child-offset maps (111 B; 115 B with the search index's per-bucket
+parent-label strings); a trie whose construction sorted one list of
+int objects per pair bucket and filled a by-position parent-label array
+(a peak of 162 B per node) against one preorder sweep that appends to
+the buckets' arrays and strings (129 B); an alignment link holding a
+move tuple of its own (196 B per event) against a ``(prev, move)`` pair
+pointing at a shared move (134 B, 1.70 GC-tracked objects per event),
+and that pair against one prev index in its case's ``array("q")`` and
+one move reference in its case's list (114 B, 0.69 tracked objects per
+event);
 and a parsed log with two new strings per row (280 B per row) against
 one shared string per distinct case id and label (177 B), and
 frozen-dataclass events (177 B) against named-tuple ones (153 B). Other
@@ -39,6 +44,7 @@ from .conftest import WORKFLOW_TRACES
 from .test_engine import POLICIES
 
 TRIE_BYTES_PER_NODE = 200
+TRIE_CONSTRUCTION_PEAK_PER_NODE = 145
 ENGINE_BYTES_PER_EVENT = 125
 ENGINE_TRACKED_OBJECTS_PER_EVENT = 1.2
 PARSED_BYTES_PER_ROW = 165
@@ -57,12 +63,28 @@ def traced(build):
     return out, used
 
 
-@pytest.fixture(scope="module")
-def trie_and_bytes():
+def peak_of(build) -> int:
+    """The most bytes allocated at once while ``build()`` runs, what it returns included."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def fixture_paths() -> tuple[list[list[int]], ActivityTable]:
     # 400 traces of 4-20 activities over 12 labels: 4,348 nodes, mostly chains.
     rng = random.Random(3)
     paths = [[rng.randrange(12) for _ in range(rng.randrange(4, 21))] for _ in range(400)]
-    alphabet = ActivityTable([f"a{i}" for i in range(12)])
+    return paths, ActivityTable([f"a{i}" for i in range(12)])
+
+
+@pytest.fixture(scope="module")
+def trie_and_bytes():
+    paths, alphabet = fixture_paths()
     return traced(lambda: Trie(paths, alphabet))
 
 
@@ -70,6 +92,12 @@ def test_trie_bytes_per_node(trie_and_bytes):
     trie, used = trie_and_bytes
     assert trie.node_count == 4348
     assert used / trie.node_count < TRIE_BYTES_PER_NODE
+
+
+def test_trie_construction_peak_per_node():
+    paths, alphabet = fixture_paths()
+    peak = peak_of(lambda: Trie(paths, alphabet))
+    assert peak / 4348 < TRIE_CONSTRUCTION_PEAK_PER_NODE
 
 
 def test_engine_bytes_per_event(trie_and_bytes):

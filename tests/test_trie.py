@@ -19,7 +19,7 @@ from trie_align import (
     parse_proxy_log,
     serialize_trie,
 )
-from trie_align.trie import ROOT, ROOT_LABEL
+from trie_align.trie import CODE_LIMIT, ROOT, ROOT_LABEL
 
 from .conftest import WORKFLOW_TRACES
 from .reference import absolute_children, child, kids, walk
@@ -312,6 +312,19 @@ def random_trie():
     return build_trie(ProxyLog(tuple(traces)))
 
 
+# Node codes on both sides of 127, 255 and 65,535: their characters in the
+# search index's strings (chr(code + 1)) take 1-byte ASCII and Latin-1,
+# 2-byte and 4-byte storage.
+WIDE_CODES = (0, 126, 127, 254, 255, 65_534, 65_535, 70_000)
+
+
+def wide_trie():
+    """Seeded trie over :data:`WIDE_CODES`, with a table that holds every code up to the last."""
+    rng = random.Random(11)
+    paths = [[rng.choice(WIDE_CODES) for _ in range(rng.randrange(1, 7))] for _ in range(40)]
+    return Trie(paths, ActivityTable([f"a{i}" for i in range(WIDE_CODES[-1] + 1)]))
+
+
 def descendants(trie, node) -> set[int]:
     """The node and everything below it, by walking children maps."""
     out = {node}
@@ -332,9 +345,9 @@ def index_of(trie) -> tuple:
     return (
         list(trie.pre),
         list(trie.by_pre),
-        list(trie.up),
         list(trie.size),
         {key: list(bucket) for key, bucket in trie.buckets.items()},
+        trie.parent_labels,
     )
 
 
@@ -350,10 +363,17 @@ class TestSearchIndex:
         for node in range(trie.node_count):
             assert trie.by_pre[trie.pre[node]] == node
 
-    def test_up_holds_each_positions_parent_label(self, trie):
-        assert trie.up[trie.pre[ROOT]] == ROOT_LABEL
-        for node in range(1, trie.node_count):
-            assert trie.up[trie.pre[node]] == trie.labels[trie.parents[node]]
+    def test_parent_labels_hold_each_bucket_nodes_parent_label(self, trie):
+        # Character i of bucket (a, b)'s string is chr(label + 1) of the
+        # parent of the node at bucket[i]; the root's label is chr(0).
+        assert trie.parent_labels.keys() == trie.buckets.keys()
+        for key, bucket in trie.buckets.items():
+            marks = trie.parent_labels[key]
+            assert len(marks) == len(bucket)
+            for mark, pos in zip(marks, bucket):
+                parent = trie.parents[trie.by_pre[pos]]
+                assert mark == chr(trie.labels[parent] + 1)
+                assert (mark == chr(0)) == (parent == ROOT)
 
     def test_subtree_interval_holds_exactly_the_descendants(self, trie):
         for node in range(trie.node_count):
@@ -417,6 +437,40 @@ class TestSearchIndex:
                         ]
                     for prev_code in nowhere:
                         assert trie.starts_at(node, code, next_code, prev_code) == []
+
+    def test_starts_at_prev_code_on_wide_codes(self):
+        # Every node label, the root's label, UNKNOWN and a code past the
+        # table, on strings of every storage width.
+        trie = wide_trie()
+        tops = [ord(max(marks)) for marks in trie.parent_labels.values()]
+        assert {1 if top < 0x100 else 2 if top < 0x10000 else 4 for top in tops} == {1, 2, 4}
+        probes = sorted(set(trie.labels[1:])) + [ROOT_LABEL, UNKNOWN, len(trie.alphabet)]
+        found = set()
+        for node in range(trie.node_count):
+            for code, next_code in trie.buckets:
+                pair = trie.starts_at(node, code, next_code)
+                for prev_code in probes:
+                    got = trie.starts_at(node, code, next_code, prev_code)
+                    assert got == [
+                        k
+                        for k in pair
+                        if trie.parents[k] != ROOT and trie.labels[trie.parents[k]] == prev_code
+                    ]
+                    if got:
+                        found.add(prev_code)
+        assert found == set(WIDE_CODES)
+
+    def test_a_node_code_past_the_index_with_a_child_is_rejected(self):
+        alphabet = ActivityTable(["a", "b"])
+        for path in ([CODE_LIMIT, 0], [0, CODE_LIMIT + 5, 1], [1, 0, CODE_LIMIT, 0]):
+            with pytest.raises(TrieError, match="0x10ffff"):
+                Trie([path], alphabet)
+        # The last code the strings hold on a node with a child, and a leaf
+        # past it, build; no parent carries a code past the last.
+        trie = Trie([[CODE_LIMIT - 1, 0, 1], [0, CODE_LIMIT]], alphabet)
+        below = child(trie, ROOT, CODE_LIMIT - 1)
+        assert trie.starts_at(ROOT, 0, 1, CODE_LIMIT - 1) == [child(trie, below, 0)]
+        assert trie.starts_at(ROOT, 0, 1, CODE_LIMIT) == []
 
     def test_starts_at_unknown_code_or_level(self, trie):
         unknown = len(trie.alphabet) + 3
